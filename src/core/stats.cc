@@ -53,54 +53,6 @@ RunningStat::reset()
     *this = RunningStat();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    fatal_if(bins == 0, "histogram needs at least one bin");
-    fatal_if(hi <= lo, "histogram interval is empty: [", lo, ", ", hi,
-             ")");
-}
-
-void
-Histogram::add(double x)
-{
-    const double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<long>(frac * static_cast<double>(bins()));
-    if (idx < 0)
-        idx = 0;
-    if (idx >= static_cast<long>(bins()))
-        idx = static_cast<long>(bins()) - 1;
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    fatal_if(total_ == 0, "percentile of an empty histogram");
-    fatal_if(p < 0.0 || p > 100.0, "percentile rank out of range: ",
-             p);
-    const double target = p / 100.0 * static_cast<double>(total_);
-    const double width = (hi_ - lo_) / static_cast<double>(bins());
-    std::size_t below = 0;
-    for (std::size_t i = 0; i < bins(); ++i) {
-        const std::size_t in_bin = counts_[i];
-        if (static_cast<double>(below + in_bin) >= target &&
-            in_bin > 0) {
-            // Interpolate within the straddling bin assuming its
-            // samples are spread uniformly across the bin.
-            const double frac =
-                (target - static_cast<double>(below)) /
-                static_cast<double>(in_bin);
-            const double lo_edge =
-                lo_ + static_cast<double>(i) * width;
-            return lo_edge + std::clamp(frac, 0.0, 1.0) * width;
-        }
-        below += in_bin;
-    }
-    return hi_;
-}
-
 double
 percentile(std::vector<double> values, double p)
 {
@@ -125,13 +77,6 @@ percentile(std::vector<double> values, double p)
         values.end());
     const double frac = rank - static_cast<double>(lo_idx);
     return lo_val + frac * (hi_val - lo_val);
-}
-
-double
-Histogram::binCenter(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(bins());
-    return lo_ + (static_cast<double>(i) + 0.5) * width;
 }
 
 double

@@ -64,50 +64,6 @@ class RunningStat
 };
 
 /**
- * Fixed-bin histogram over a closed interval; samples outside the
- * interval are clamped into the edge bins.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Lower edge of the first bin.
-     * @param hi Upper edge of the last bin (must exceed lo).
-     * @param bins Number of bins (>= 1).
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Fold one sample. */
-    void add(double x);
-
-    /** Count in bin i. */
-    std::size_t binCount(std::size_t i) const { return counts_.at(i); }
-
-    /**
-     * Approximate p-th percentile (p in [0, 100]) of the folded
-     * samples, reconstructed from the bin counts by interpolating
-     * within the bin that straddles the target rank. Resolution is
-     * one bin width; fatal when the histogram is empty.
-     */
-    double percentile(double p) const;
-
-    /** Center value of bin i. */
-    double binCenter(std::size_t i) const;
-
-    /** Number of bins. */
-    std::size_t bins() const { return counts_.size(); }
-
-    /** Total samples folded. */
-    std::size_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
-
-/**
  * Exact p-th percentile (p in [0, 100]) of @p values using linear
  * interpolation between closest ranks (the "exclusive" convention of
  * most plotting packages is avoided; this matches numpy's default):

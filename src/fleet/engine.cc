@@ -68,6 +68,14 @@ poolConfigFor(const FleetConfig &config)
     return pool;
 }
 
+/** Share of the array's columns a calibration probe flagged. */
+double
+suspectFraction(const stream::ProbeReport &report)
+{
+    return static_cast<double>(report.suspectColumns.size()) /
+           static_cast<double>(models::kMiniInputSize);
+}
+
 /** Content frame index: pure function of (session seed, frame). */
 std::uint64_t
 contentKey(std::uint64_t session_seed, std::uint64_t frame)
@@ -78,7 +86,8 @@ contentKey(std::uint64_t session_seed, std::uint64_t frame)
 /**
  * willFail-draw item: unique per (frame, attempt, leg) while
  * attempts stay below 4 and legs below 2 — both structural limits
- * (QosClassConfig::maxAttempts and the two-leg record).
+ * (QosClassConfig::maxAttempts, checked by the constructor, and the
+ * two-leg record).
  */
 std::uint64_t
 failItem(std::uint64_t frame, std::uint8_t attempt, std::uint8_t leg)
@@ -106,6 +115,15 @@ FleetEngine::FleetEngine(const FleetConfig &config)
     fatal_if(config_.framesPerSession == 0, "fleet needs frames");
     fatal_if(config_.sessionRateHz <= 0.0,
              "session rate must be positive");
+    for (const QosClassConfig &q : config_.qos)
+        fatal_if(q.maxAttempts < 1 || q.maxAttempts > 4,
+                 "maxAttempts must be in [1, 4], got ", q.maxAttempts);
+
+    // Every class serves the same trained topology; only the
+    // operating point differs, so the shared ProgramCache keys
+    // exactly one compilation per class.
+    Rng init(0x3317a11);
+    net_ = models::buildMiniGoogLeNet(data::kShapeClasses, init);
     buildClassModels();
 
     if (config_.tune.enabled) {
@@ -116,7 +134,7 @@ FleetEngine::FleetEngine(const FleetConfig &config)
         mc.host = config_.hostProcessor;
         mc.adcBoostBits = config_.pool.degrade.adcBoostBits;
         opModels_ = std::make_unique<tune::OpModelCache>(
-            *models_[0].net, programCache_, mc);
+            *net_, programCache_, mc);
     }
 
     for (std::size_t c = 0; c < kTrafficClasses; ++c)
@@ -130,62 +148,59 @@ FleetEngine::~FleetEngine() = default;
 void
 FleetEngine::buildClassModels()
 {
+    const double full_macs = static_cast<double>(net_->totalMacs());
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
         const QosClassConfig &q = config_.qos[c];
         ClassModel &m = models_[c];
-
-        // Every class serves the same trained topology (identical
-        // structural hash); only the operating point differs, so the
-        // shared ProgramCache keys exactly one compilation per class.
-        Rng init(0x3317a11);
-        m.net = models::buildMiniGoogLeNet(data::kShapeClasses, init);
+        tune::OpModel &om = m.serving;
         m.analogLayers = models::miniGoogLeNetAnalogLayers(q.depth);
 
         m.deviceConfig.adcBits = q.adcBits;
         m.deviceConfig.convSnrDb = q.convSnrDb;
         m.deviceConfig.columns = models::kMiniInputSize;
+        om.op = tune::OperatingPoint{q.convSnrDb, q.adcBits, q.depth};
 
         auto prog = programCache_->compileOrStatus(
-            *m.net, m.analogLayers, m.deviceConfig);
+            *net_, m.analogLayers, m.deviceConfig);
         fatal_if(!prog.ok(), prog.status().message());
-        m.program = std::move(prog.value());
-
-        const auto schedule =
-            arch::scheduleProgram(*m.program, m.deviceConfig);
-        m.deviceS = schedule.frameLatencyS;
-        m.analogJ = arch::RedEyeModel(*m.program, m.deviceConfig)
-                        .estimateFrame()
-                        .energy.totalJ();
+        om.program = std::move(prog.value());
+        om.deviceS = arch::scheduleProgram(*om.program, m.deviceConfig)
+                         .frameLatencyS;
+        om.analogJ = arch::RedEyeModel(*om.program, m.deviceConfig)
+                         .estimateFrame()
+                         .energy.totalJ();
 
         // The Remap serving point: same cut, ADC boosted the way the
         // degradation policy programs it (stream/degrade.hh).
         arch::RedEyeConfig remap_cfg = m.deviceConfig;
         remap_cfg.adcBits += config_.pool.degrade.adcBoostBits;
         auto remap = programCache_->compileOrStatus(
-            *m.net, m.analogLayers, remap_cfg);
+            *net_, m.analogLayers, remap_cfg);
         fatal_if(!remap.ok(), remap.status().message());
-        m.remapDeviceS =
-            arch::scheduleProgram(*remap.value(), remap_cfg)
+        om.remapProgram = std::move(remap.value());
+        om.remapDeviceS =
+            arch::scheduleProgram(*om.remapProgram, remap_cfg)
                 .frameLatencyS;
-        m.remapAnalogJ =
-            arch::RedEyeModel(*remap.value(), remap_cfg)
-                .estimateFrame()
-                .energy.totalJ();
+        om.remapAnalogJ = arch::RedEyeModel(*om.remapProgram, remap_cfg)
+                              .estimateFrame()
+                              .energy.totalJ();
 
-        const double full_macs =
-            static_cast<double>(m.net->totalMacs());
+        // The Jetson line anchored at this class's own tail, so every
+        // depth's tail costs the measured depth-5 time.
+        // tune::OpModelCache anchors at the real depth-5 tail; the
+        // two prices diverge below depth 5 (DESIGN.md §11).
         const double tail_macs = static_cast<double>(
-            models::digitalTailMacs(*m.net, m.analogLayers));
+            models::digitalTailMacs(*net_, m.analogLayers));
         sys::JetsonTk1 host(sys::JetsonParams::paper(
             config_.hostProcessor, full_macs, tail_macs));
-        m.hostTailS = host.executionTimeS(tail_macs);
-        m.hostTailJ = host.executionEnergyJ(tail_macs);
-        m.hostFullS = host.executionTimeS(full_macs);
-        m.hostFullJ = host.executionEnergyJ(full_macs);
+        om.hostTailS = host.executionTimeS(tail_macs);
+        om.hostTailJ = host.executionEnergyJ(tail_macs);
+        om.hostFullS = host.executionTimeS(full_macs);
+        om.hostFullJ = host.executionEnergyJ(full_macs);
 
         m.sloS = q.sloLatencyS > 0.0
                      ? q.sloLatencyS
-                     : q.sloMultiplier * (m.deviceS + m.hostTailS);
+                     : q.sloMultiplier * (om.deviceS + om.hostTailS);
     }
 
     // Mix-weighted service times for the brownout controller's
@@ -205,27 +220,22 @@ FleetEngine::buildClassModels()
     mixServiceS_ = 0.0;
     mixHostFullS_ = 0.0;
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
-        mixServiceS_ += share[c] * models_[c].deviceS;
-        mixHostFullS_ += share[c] * models_[c].hostFullS;
+        mixServiceS_ += share[c] * models_[c].serving.deviceS;
+        mixHostFullS_ += share[c] * models_[c].serving.hostFullS;
     }
-}
-
-double
-FleetEngine::classDeviceS(TrafficClass cls) const
-{
-    return models_[classIndex(cls)].deviceS;
-}
-
-double
-FleetEngine::classHostS(TrafficClass cls) const
-{
-    return models_[classIndex(cls)].hostTailS;
 }
 
 double
 FleetEngine::classSloS(TrafficClass cls) const
 {
     return models_[classIndex(cls)].sloS;
+}
+
+const tune::OpModel &
+FleetEngine::servingFor(const Session &s) const
+{
+    return s.opModel != nullptr ? *s.opModel
+                                : models_[classIndex(s.cls)].serving;
 }
 
 void
@@ -277,9 +287,9 @@ FleetEngine::admitSessions()
 
         // Re-deriving the program per session is the content-address
         // demonstration: one compile per class, N-1 cache hits.
-        ClassModel &m = models_[classIndex(cls)];
+        const ClassModel &m = models_[classIndex(cls)];
         auto prog = programCache_->compileOrStatus(
-            *m.net, m.analogLayers, m.deviceConfig);
+            *net_, m.analogLayers, m.deviceConfig);
         fatal_if(!prog.ok(), prog.status().message());
         s.program = std::move(prog.value());
 
@@ -294,10 +304,7 @@ FleetEngine::admitSessions()
             // point: the tuner refines the QoS table's static choice
             // rather than replacing it.
             tune::AutoTuneConfig tc = config_.tune;
-            const QosClassConfig &q = config_.qos[classIndex(cls)];
-            tc.initial.snrDb = q.convSnrDb;
-            tc.initial.adcBits = q.adcBits;
-            tc.initial.depth = q.depth;
+            tc.initial = m.serving.op;
             s.tuner = std::make_unique<tune::AutoTuner>(tc);
         }
 
@@ -322,22 +329,27 @@ FleetEngine::admitSessions()
             e.resource = static_cast<int>(i);
             schedule(std::move(e));
         }
-        if (config_.ft.probePeriodS > 0.0) {
-            Event sweep;
-            sweep.kind = Event::Kind::ProbeSweep;
-            sweep.timeS = config_.ft.probePeriodS;
-            schedule(std::move(sweep));
-            ++recurringPending_;
-        }
+        if (config_.ft.probePeriodS > 0.0)
+            scheduleRecurring(Event::Kind::ProbeSweep,
+                              config_.ft.probePeriodS);
     }
+    if (config_.tune.enabled && config_.tune.windowS > 0.0)
+        scheduleRecurring(Event::Kind::TuneStep, config_.tune.windowS);
+}
 
-    if (config_.tune.enabled && config_.tune.windowS > 0.0) {
-        Event t;
-        t.kind = Event::Kind::TuneStep;
-        t.timeS = config_.tune.windowS;
-        schedule(std::move(t));
-        ++recurringPending_;
-    }
+void
+FleetEngine::scheduleRecurring(Event::Kind kind, double time_s)
+{
+    // Recurring events (sweeps, tune steps) continue only while real
+    // work is pending; recurring events don't count, or two of them
+    // would keep each other alive forever after the workload drains.
+    if (events_.size() <= recurringPending_)
+        return;
+    Event e;
+    e.kind = kind;
+    e.timeS = time_s;
+    schedule(std::move(e));
+    ++recurringPending_;
 }
 
 FleetWindow *
@@ -354,12 +366,6 @@ FleetEngine::windowAt(double time_s)
     w.brownoutLevel = std::max(w.brownoutLevel, brownoutLevel_);
     windowHighWater_ = std::max(windowHighWater_, idx + 1);
     return &w;
-}
-
-void
-FleetEngine::noteActiveDevices(double time_s)
-{
-    windowAt(time_s); // side effect: fold the active-device low-water
 }
 
 void
@@ -383,13 +389,34 @@ FleetEngine::shedWithCause(Session *s, StatusCode code, double now_s)
         ++w->shed[classIndex(s->cls)];
 }
 
+bool
+FleetEngine::enqueue(ClassedQueue<QueuedFrame> &queue, std::size_t cls,
+                     QueuedFrame qf, double now_s)
+{
+    std::optional<QueuedFrame> evicted;
+    if (queue.push(cls, std::move(qf), &evicted) !=
+        ClassedPush::Admitted)
+        return false;
+    // Room may come from evicting a lower-priority frame, which was
+    // admitted and so sheds.
+    if (evicted) {
+        if (Session *victim = db_.find(evicted->session))
+            shedWithCause(victim, StatusCode::ResourceExhausted,
+                          now_s);
+    }
+    return true;
+}
+
 int
 FleetEngine::allocRecord()
 {
     fatal_if(recordFreeHead_ < 0, "request record pool exhausted");
     const int i = recordFreeHead_;
-    recordFreeHead_ = records_[static_cast<std::size_t>(i)].freeNext;
-    records_[static_cast<std::size_t>(i)].freeNext = -1;
+    RequestRecord &rec = records_[static_cast<std::size_t>(i)];
+    recordFreeHead_ = rec.freeNext;
+    rec.freeNext = -1;
+    rec.legCount = 0;
+    rec.closed = false;
     return i;
 }
 
@@ -455,15 +482,13 @@ FleetEngine::onArrival(const Event &event)
     }
 
     const std::size_t cls = classIndex(s->cls);
-    if (ftOn())
-        ++arrivalsSinceSweep_;
+    ++arrivalsSinceSweep_;
 
     // Brownout level >= 1: BEST_EFFORT arrivals are shed at the
     // door. Counted admit-then-shed so the conservation invariants
     // (offered == admitted + dropped, admitted == completed + shed)
     // hold with the controller engaged.
-    if (ftOn() && brownoutLevel_ >= 1 &&
-        s->cls == TrafficClass::BestEffort) {
+    if (brownoutLevel_ >= 1 && s->cls == TrafficClass::BestEffort) {
         ++s->stats.admitted;
         ++s->stats.shed;
         ++s->stats.shedBrownout;
@@ -480,61 +505,14 @@ FleetEngine::onArrival(const Event &event)
         qf.deadlineS = now + config_.qos[cls].deadlineMultiplier *
                                  models_[cls].sloS;
 
-    std::optional<QueuedFrame> evicted;
-    std::size_t evicted_class = 0;
-    const ClassedPush outcome =
-        deviceQueue_.push(cls, std::move(qf), &evicted,
-                          &evicted_class);
-    if (outcome == ClassedPush::Admitted) {
+    if (enqueue(deviceQueue_, cls, qf, now)) {
         ++s->stats.admitted;
-        if (ftOn())
-            budgets_[cls].credit();
-        if (evicted) {
-            Session *victim = db_.find(evicted->session);
-            if (victim)
-                shedWithCause(victim,
-                              StatusCode::ResourceExhausted, now);
-        }
+        budgets_[cls].credit();
     } else {
         ++s->stats.dropped;
     }
 
     dispatchDevices(now);
-}
-
-FleetEngine::ServingView
-FleetEngine::servingFor(const Session &s) const
-{
-    if (s.opModel != nullptr) {
-        const tune::OpModel &m = *s.opModel;
-        return ServingView{m.deviceS,   m.remapDeviceS, m.analogJ,
-                           m.remapAnalogJ, m.hostTailS, m.hostTailJ,
-                           m.hostFullS, m.hostFullJ};
-    }
-    const ClassModel &m = models_[classIndex(s.cls)];
-    return ServingView{m.deviceS,   m.remapDeviceS, m.analogJ,
-                       m.remapAnalogJ, m.hostTailS, m.hostTailJ,
-                       m.hostFullS, m.hostFullJ};
-}
-
-double
-FleetEngine::deviceServiceS(const DeviceSlot &device,
-                            const QueuedFrame &qf) const
-{
-    const Session *s = db_.find(qf.session);
-    const ServingView m = servingFor(*s);
-    switch (device.health) {
-      case stream::DegradeMode::Normal:
-        return m.deviceS;
-      case stream::DegradeMode::Remap:
-        // Column sharing reruns the dead columns' work on healthy
-        // neighbours: time stretches by 1/(1 - deadFraction).
-        return m.remapDeviceS /
-               (1.0 - device.deadColumnFraction);
-      case stream::DegradeMode::Bypass:
-        return kBypassRouteS;
-    }
-    return m.deviceS;
 }
 
 void
@@ -550,165 +528,152 @@ FleetEngine::dispatchDevices(double now_s)
 
         // Expired requests are shed at the dequeue point: no device
         // time is spent on a frame that already missed its deadline.
-        if (ftOn() && qf.deadlineS > 0.0 && now_s >= qf.deadlineS) {
+        if (qf.deadlineS > 0.0 && now_s >= qf.deadlineS) {
             shedWithCause(s, StatusCode::DeadlineExceeded, now_s);
             continue;
         }
 
-        int dev = -1;
-        if (ftOn() && qf.avoidDevice >= 0) {
-            dev = pool_.leaseDevice(qf.session, qf.avoidDevice);
-            // Only the device that failed the previous attempt is
-            // idle: taking it beats stalling the request.
-            if (dev < 0)
-                dev = pool_.leaseDevice(qf.session);
-        } else {
+        // A retry avoids the device that failed it, unless that is
+        // the only idle one: taking it beats stalling the request.
+        int dev = pool_.leaseDevice(qf.session, qf.avoidDevice);
+        if (dev < 0)
             dev = pool_.leaseDevice(qf.session);
-        }
-        const DeviceSlot &slot =
-            pool_.device(static_cast<std::size_t>(dev));
-        const ServingView m = servingFor(*s);
+
+        const int rec_i = allocRecord();
+        RequestRecord &rec = records_[static_cast<std::size_t>(rec_i)];
+        rec.qf = qf; // canonical (pre-leg) copy for retry/hedge
+        const double service = launchLeg(rec_i, 0, dev, now_s);
+        if (!ftOn())
+            continue;
+        serviceHist_[cls].add(service);
+
+        const double device_s = servingFor(*s).deviceS;
         const QosClassConfig &q = config_.qos[cls];
+        auto timer = [&](Event::Kind kind, double time_s,
+                         std::uint8_t leg) {
+            Event e;
+            e.kind = kind;
+            e.timeS = time_s;
+            e.record = rec_i;
+            e.leg = leg;
+            e.gen = rec.gen;
+            schedule(std::move(e));
+        };
 
-        // Leg-specific copy: bypass/energy depend on the leased
-        // device, and a retry or hedge of the same request may land
-        // on a differently-degraded one.
-        QueuedFrame leg_qf = qf;
-        double energy = 0.0;
-        switch (slot.health) {
-          case stream::DegradeMode::Normal:
-            energy = m.analogJ;
-            break;
-          case stream::DegradeMode::Remap:
-            energy = m.remapAnalogJ /
-                     (1.0 - slot.deadColumnFraction);
-            break;
-          case stream::DegradeMode::Bypass:
-            leg_qf.bypass = true;
-            break;
-        }
+        // Per-attempt timeout, scheduled only when this attempt is
+        // predicted to outlive it (the event would otherwise be a
+        // guaranteed no-op).
+        double timeout_at =
+            now_s + q.attemptTimeoutMultiplier * device_s;
+        if (qf.deadlineS > 0.0)
+            timeout_at = std::min(timeout_at, qf.deadlineS);
+        if (now_s + service > timeout_at)
+            timer(Event::Kind::AttemptTimeout, timeout_at, 0);
 
-        double service = deviceServiceS(slot, qf);
-
-        // Brownout level >= 2: BACKGROUND frames are force-routed
-        // around the analog stage so the surviving arrays serve
-        // INTERACTIVE. The frame completes (degraded); it is not
-        // shed.
-        if (ftOn() && brownoutLevel_ >= 2 && !leg_qf.bypass &&
-            cls == classIndex(TrafficClass::Background)) {
-            leg_qf.bypass = true;
-            leg_qf.degraded = true;
-            energy = 0.0;
-            service = kBypassRouteS;
-        }
-
-        if (config_.serviceJitterSigma > 0.0) {
-            // Attempt 0 keeps the legacy (pass, item) so a run with
-            // the layer off is bit-identical to the pre-layer
-            // engine; retries jitter from their own stream.
-            const std::uint64_t pass =
-                qf.attempt == 0 ? kDevicePass : kRetryPass;
-            const std::uint64_t item =
-                qf.attempt == 0 ? qf.frame
-                                : qf.frame * 8 + qf.attempt;
-            service *= std::exp(
-                config_.serviceJitterSigma *
-                streamRng(s->seed, pass, item).gaussian());
-        }
-        leg_qf.analogJ = energy;
-
-        int rec_i = -1;
-        bool will_fail = false;
-        if (ftOn()) {
-            serviceHist_[cls].add(service);
-
-            // Failure draw: undetected dead columns corrupt the
-            // output with probability proportional to their share.
-            // Bypass legs never touch the array and never fail.
-            if (!leg_qf.bypass) {
-                const double undetected =
-                    undetectedDeadFraction(slot);
-                if (undetected > 0.0) {
-                    const double p = std::min(
-                        1.0, config_.ft.failureSensitivity *
-                                 undetected);
-                    will_fail =
-                        streamRng(s->seed, kFailPass,
-                                  failItem(qf.frame, qf.attempt, 0))
-                            .uniform() < p;
-                }
-            }
-
-            rec_i = allocRecord();
-            RequestRecord &rec =
-                records_[static_cast<std::size_t>(rec_i)];
-            rec.qf = qf; // canonical (pre-leg) copy for retry/hedge
-            rec.legCount = 1;
-            rec.legsInFlight = 1;
-            rec.settled = false;
-            rec.closed = false;
-            rec.legs[0] = RequestLeg{dev, false, false, will_fail};
-            rec.legs[1] = RequestLeg{};
-        }
-
-        Event done;
-        done.kind = Event::Kind::DeviceDone;
-        done.timeS = now_s + service;
-        done.qf = leg_qf;
-        done.resource = dev;
-        done.busyS = service;
-        done.energyJ = energy;
-        done.record = rec_i;
-        done.leg = 0;
-        done.failed = will_fail;
-        if (rec_i >= 0)
-            done.gen =
-                records_[static_cast<std::size_t>(rec_i)].gen;
-        schedule(std::move(done));
-
-        if (ftOn() && rec_i >= 0) {
-            const std::uint32_t gen =
-                records_[static_cast<std::size_t>(rec_i)].gen;
-
-            // Per-attempt timeout, scheduled only when this attempt
-            // is predicted to outlive it (the event would otherwise
-            // be a guaranteed no-op).
-            double timeout_at =
-                now_s + q.attemptTimeoutMultiplier * m.deviceS;
-            if (qf.deadlineS > 0.0)
-                timeout_at = std::min(timeout_at, qf.deadlineS);
-            if (now_s + service > timeout_at) {
-                Event t;
-                t.kind = Event::Kind::AttemptTimeout;
-                t.timeS = timeout_at;
-                t.record = rec_i;
-                t.leg = 0;
-                t.gen = gen;
-                schedule(std::move(t));
-            }
-
-            // Hedge: first attempts of hedging classes predicted
-            // past the class's device-service percentile get one
-            // duplicate dispatch at that percentile mark.
-            if (qf.attempt == 0 && q.hedge) {
-                const double delay =
-                    serviceHist_[cls].percentileOr(
-                        config_.ft.hedgePercentile,
-                        2.0 * m.deviceS);
-                if (service > delay &&
-                    (qf.deadlineS <= 0.0 ||
-                     now_s + delay < qf.deadlineS)) {
-                    Event h;
-                    h.kind = Event::Kind::HedgeFire;
-                    h.timeS = now_s + delay;
-                    h.record = rec_i;
-                    h.leg = 1;
-                    h.gen = gen;
-                    schedule(std::move(h));
-                }
-            }
+        // Hedge: first attempts of hedging classes predicted past the
+        // class's device-service percentile get one duplicate
+        // dispatch at that percentile mark.
+        if (qf.attempt == 0 && q.hedge) {
+            const double delay = serviceHist_[cls].percentileOr(
+                config_.ft.hedgePercentile, 2.0 * device_s);
+            if (service > delay && (qf.deadlineS <= 0.0 ||
+                                    now_s + delay < qf.deadlineS))
+                timer(Event::Kind::HedgeFire, now_s + delay, 1);
         }
     }
+}
+
+double
+FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
+                       double now_s)
+{
+    RequestRecord &rec = records_[static_cast<std::size_t>(record)];
+    const Session *s = db_.find(rec.qf.session);
+    const tune::OpModel &m = servingFor(*s);
+    const DeviceSlot &slot =
+        pool_.device(static_cast<std::size_t>(device));
+
+    // Leg-specific copy: bypass/energy depend on the leased device,
+    // and a retry or hedge of the same request may land on a
+    // differently-degraded one.
+    QueuedFrame qf = rec.qf;
+    stream::DegradeMode mode = slot.health;
+
+    // Brownout level >= 2: BACKGROUND first legs are force-routed
+    // around the analog stage so the surviving arrays serve
+    // INTERACTIVE. The frame completes (degraded); it is not shed.
+    if (leg == 0 && brownoutLevel_ >= 2 &&
+        s->cls == TrafficClass::Background &&
+        mode != stream::DegradeMode::Bypass) {
+        mode = stream::DegradeMode::Bypass;
+        qf.degraded = true;
+    }
+
+    double service = kBypassRouteS;
+    double energy = 0.0;
+    switch (mode) {
+      case stream::DegradeMode::Normal:
+        service = m.deviceS;
+        energy = m.analogJ;
+        break;
+      case stream::DegradeMode::Remap:
+        // Column sharing reruns the dead columns' work on healthy
+        // neighbours: time and energy stretch by 1/(1 - dead).
+        service = m.remapDeviceS / (1.0 - slot.deadColumnFraction);
+        energy = m.remapAnalogJ / (1.0 - slot.deadColumnFraction);
+        break;
+      case stream::DegradeMode::Bypass:
+        qf.bypass = true;
+        break;
+    }
+
+    if (config_.serviceJitterSigma > 0.0) {
+        // The first leg of attempt 0 keeps the legacy (pass, item) so
+        // a run with the layer off is bit-identical to the pre-layer
+        // engine; retries and hedges jitter from their own streams.
+        std::uint64_t pass = kDevicePass;
+        std::uint64_t item = qf.frame;
+        if (leg == 1) {
+            pass = kHedgePass;
+        } else if (qf.attempt > 0) {
+            pass = kRetryPass;
+            item = qf.frame * 8 + qf.attempt;
+        }
+        service *= std::exp(config_.serviceJitterSigma *
+                            streamRng(s->seed, pass, item).gaussian());
+    }
+    qf.analogJ = energy;
+
+    // Failure draw: undetected dead columns corrupt the output with
+    // probability proportional to their share. Bypass legs never
+    // touch the array and never fail.
+    bool will_fail = false;
+    if (ftOn() && !qf.bypass) {
+        const double undetected = undetectedDeadFraction(slot);
+        if (undetected > 0.0) {
+            const double p = std::min(
+                1.0, config_.ft.failureSensitivity * undetected);
+            will_fail = streamRng(s->seed, kFailPass,
+                                  failItem(qf.frame, qf.attempt, leg))
+                            .uniform() < p;
+        }
+    }
+    rec.legs[leg] = RequestLeg{device, false, false, will_fail};
+    rec.legCount = leg + 1;
+    ++rec.legsInFlight;
+
+    Event done;
+    done.kind = Event::Kind::DeviceDone;
+    done.timeS = now_s + service;
+    done.qf = qf;
+    done.resource = device;
+    done.busyS = service;
+    done.energyJ = energy;
+    done.record = record;
+    done.leg = leg;
+    done.gen = rec.gen;
+    schedule(std::move(done));
+    return service;
 }
 
 void
@@ -721,29 +686,6 @@ FleetEngine::onDeviceDone(const Event &event)
     Session *s = db_.find(event.qf.session);
     fatal_if(s == nullptr, "device completion for unknown session");
 
-    if (event.record < 0) {
-        // Fault-tolerance layer off: straight to the host queue.
-        QueuedFrame qf = event.qf;
-        std::optional<QueuedFrame> evicted;
-        const ClassedPush outcome = hostQueue_.push(
-            classIndex(s->cls), std::move(qf), &evicted);
-        if (outcome == ClassedPush::Admitted) {
-            if (evicted) {
-                Session *victim = db_.find(evicted->session);
-                if (victim)
-                    shedWithCause(
-                        victim, StatusCode::ResourceExhausted, now);
-            }
-        } else {
-            // Served by the device but no room before the host tier:
-            // the frame dies mid-pipeline — a shed, not a drop.
-            shedWithCause(s, StatusCode::ResourceExhausted, now);
-        }
-        dispatchHosts(now);
-        dispatchDevices(now);
-        return;
-    }
-
     RequestRecord &rec =
         records_[static_cast<std::size_t>(event.record)];
     // A physical leg pins its record until this completion arrives,
@@ -755,11 +697,11 @@ FleetEngine::onDeviceDone(const Event &event)
     fatal_if(rec.legsInFlight == 0, "leg count out of sync");
     --rec.legsInFlight;
 
-    if (rec.settled || leg.dead) {
+    if (rec.closed || leg.dead) {
         // A hedge-race loser or timed-out attempt draining; its
         // outcome was already decided. Lazy cancellation: the leg
         // ran to completion on silicon, only its result is dropped.
-    } else if (event.failed) {
+    } else if (leg.willFail) {
         leg.dead = true;
         const std::size_t dev =
             static_cast<std::size_t>(event.resource);
@@ -773,29 +715,14 @@ FleetEngine::onDeviceDone(const Event &event)
     } else {
         // First good leg wins; any other in-flight leg drains as a
         // loser.
-        rec.settled = true;
         rec.closed = true;
-        for (std::uint8_t j = 0; j < rec.legCount; ++j) {
-            if (j != event.leg && !rec.legs[j].done)
-                rec.legs[j].dead = true;
-        }
         if (event.leg >= 1)
             ++s->stats.hedgeWins;
 
-        QueuedFrame qf = event.qf;
-        std::optional<QueuedFrame> evicted;
-        const ClassedPush outcome = hostQueue_.push(
-            classIndex(s->cls), std::move(qf), &evicted);
-        if (outcome == ClassedPush::Admitted) {
-            if (evicted) {
-                Session *victim = db_.find(evicted->session);
-                if (victim)
-                    shedWithCause(
-                        victim, StatusCode::ResourceExhausted, now);
-            }
-        } else {
+        // Served by the device but no room before the host tier: the
+        // frame dies mid-pipeline — a shed, not a drop.
+        if (!enqueue(hostQueue_, classIndex(s->cls), event.qf, now))
             shedWithCause(s, StatusCode::ResourceExhausted, now);
-        }
     }
 
     if (rec.closed && rec.legsInFlight == 0)
@@ -864,22 +791,8 @@ FleetEngine::onRetry(const Event &event)
     // Re-enqueue under the original admission (the frame never
     // stopped being admitted); a rejection here is a terminal
     // resource shed, not a drop.
-    QueuedFrame qf = event.qf;
-    std::optional<QueuedFrame> evicted;
-    std::size_t evicted_class = 0;
-    const ClassedPush outcome =
-        deviceQueue_.push(classIndex(s->cls), std::move(qf),
-                          &evicted, &evicted_class);
-    if (outcome == ClassedPush::Admitted) {
-        if (evicted) {
-            Session *victim = db_.find(evicted->session);
-            if (victim)
-                shedWithCause(victim,
-                              StatusCode::ResourceExhausted, now);
-        }
-    } else {
+    if (!enqueue(deviceQueue_, classIndex(s->cls), event.qf, now))
         shedWithCause(s, StatusCode::ResourceExhausted, now);
-    }
     dispatchDevices(now);
 }
 
@@ -888,7 +801,7 @@ FleetEngine::onAttemptTimeout(const Event &event)
 {
     RequestRecord &rec =
         records_[static_cast<std::size_t>(event.record)];
-    if (rec.gen != event.gen || rec.settled || rec.closed)
+    if (rec.gen != event.gen || rec.closed)
         return; // request already resolved; stale timer
     RequestLeg &leg = rec.legs[event.leg];
     if (leg.done || leg.dead)
@@ -910,16 +823,11 @@ FleetEngine::onHedgeFire(const Event &event)
 {
     RequestRecord &rec =
         records_[static_cast<std::size_t>(event.record)];
-    if (rec.gen != event.gen || rec.settled || rec.closed)
-        return;
-    if (rec.legCount >= 2)
+    if (rec.gen != event.gen || rec.closed || rec.legCount >= 2)
         return;
     const RequestLeg &primary = rec.legs[0];
     if (primary.done || primary.dead)
         return;
-
-    Session *s = db_.find(rec.qf.session);
-    fatal_if(s == nullptr, "hedge for unknown session");
     const double now = event.timeS;
     if (rec.qf.deadlineS > 0.0 && now >= rec.qf.deadlineS)
         return;
@@ -933,65 +841,10 @@ FleetEngine::onHedgeFire(const Event &event)
         ++hedgeSkipped_;
         return;
     }
-
-    const ServingView m = servingFor(*s);
-    const DeviceSlot &slot =
-        pool_.device(static_cast<std::size_t>(dev));
-
-    QueuedFrame leg_qf = rec.qf;
-    double energy = 0.0;
-    switch (slot.health) {
-      case stream::DegradeMode::Normal:
-        energy = m.analogJ;
-        break;
-      case stream::DegradeMode::Remap:
-        energy = m.remapAnalogJ / (1.0 - slot.deadColumnFraction);
-        break;
-      case stream::DegradeMode::Bypass:
-        leg_qf.bypass = true;
-        break;
-    }
-    double service = deviceServiceS(slot, rec.qf);
-    if (config_.serviceJitterSigma > 0.0) {
-        service *= std::exp(
-            config_.serviceJitterSigma *
-            streamRng(s->seed, kHedgePass, rec.qf.frame)
-                .gaussian());
-    }
-    leg_qf.analogJ = energy;
-
-    bool will_fail = false;
-    if (!leg_qf.bypass) {
-        const double undetected = undetectedDeadFraction(slot);
-        if (undetected > 0.0) {
-            const double p = std::min(
-                1.0, config_.ft.failureSensitivity * undetected);
-            will_fail =
-                streamRng(s->seed, kFailPass,
-                          failItem(rec.qf.frame, rec.qf.attempt, 1))
-                    .uniform() < p;
-        }
-    }
-
-    rec.legs[1] = RequestLeg{dev, false, false, will_fail};
-    rec.legCount = 2;
-    ++rec.legsInFlight;
-    ++s->stats.hedges;
+    launchLeg(event.record, 1, dev, now);
+    ++db_.find(rec.qf.session)->stats.hedges;
     if (FleetWindow *w = windowAt(now))
         ++w->hedges;
-
-    Event done;
-    done.kind = Event::Kind::DeviceDone;
-    done.timeS = now + service;
-    done.qf = leg_qf;
-    done.resource = dev;
-    done.busyS = service;
-    done.energyJ = energy;
-    done.record = event.record;
-    done.leg = 1;
-    done.gen = rec.gen;
-    done.failed = will_fail;
-    schedule(std::move(done));
 }
 
 void
@@ -1005,7 +858,7 @@ FleetEngine::quarantine(std::size_t device, double now_s)
     pool_.quarantineDevice(device);
     fatal_if(activeDevices_ == 0, "active device count underflow");
     --activeDevices_;
-    noteActiveDevices(now_s);
+    windowAt(now_s); // fold the active-device low-water
 
     const double u =
         streamRng(config_.seed, kReprobePass, device * 64)
@@ -1018,16 +871,40 @@ FleetEngine::quarantine(std::size_t device, double now_s)
     schedule(std::move(r));
 }
 
-void
-FleetEngine::probeDevice(std::size_t device, double now_s)
+stream::ProbeReport
+FleetEngine::probe(std::size_t device) const
 {
+    const DeviceSlot &slot = pool_.device(device);
+    return stream::runCalibrationProbe(poolConfigFor(config_).array,
+                                       slot.faults.get(),
+                                       slot.framesServed);
+}
+
+void
+FleetEngine::replan(std::size_t device,
+                    const stream::ProbeReport &report)
+{
+    // Plan around everything the probe sees, published under a
+    // fresh plan-cache epoch so a stale plan never resurrects, and
+    // serve it Active at the probe's suspect severity.
     const DevicePoolConfig pcfg = poolConfigFor(config_);
     stream::DegradationPolicyConfig policy = pcfg.degrade;
     policy.enabled = true;
-    const DeviceSlot &slot = pool_.device(device);
+    const std::uint64_t epoch =
+        device +
+        pool_.devices() * (pool_.device(device).planGeneration + 1);
+    const stream::DegradePlan plan = pool_.planCache()->fetch(
+        stream::degradePlanKey(epoch, pcfg.array, policy), [&]() {
+            return stream::planDegradation(report, pcfg.array, policy);
+        });
+    pool_.reactivateDevice(device, plan, suspectFraction(report));
+}
 
-    const stream::ProbeReport report = stream::runCalibrationProbe(
-        pcfg.array, slot.faults.get(), slot.framesServed);
+void
+FleetEngine::probeDevice(std::size_t device, double now_s)
+{
+    const DeviceSlot &slot = pool_.device(device);
+    const stream::ProbeReport report = probe(device);
 
     // Suspects the current plan does not cover (both lists are
     // ascending: one merge walk).
@@ -1051,10 +928,9 @@ FleetEngine::probeDevice(std::size_t device, double now_s)
         }
     }
 
-    const double columns =
-        static_cast<double>(pcfg.array.columns);
     const double score =
-        1.0 - static_cast<double>(uncovered) / columns;
+        1.0 - static_cast<double>(uncovered) /
+                  static_cast<double>(models::kMiniInputSize);
     const double ewma =
         config_.ft.healthAlpha * score +
         (1.0 - config_.ft.healthAlpha) * slot.healthEwma;
@@ -1066,18 +942,8 @@ FleetEngine::probeDevice(std::size_t device, double now_s)
                slot.plan.mode != stream::DegradeMode::Normal &&
                slot.serveErrors == 0) {
         // Clean probe on a degraded plan: the silicon recovered
-        // (chaos Recover cleared its faults). Re-plan through the
-        // cache under a fresh epoch and serve it healthy again.
-        const std::uint64_t epoch =
-            device + pool_.devices() * (slot.planGeneration + 1);
-        const std::uint64_t key =
-            stream::degradePlanKey(epoch, pcfg.array, policy);
-        const stream::DegradePlan plan =
-            pool_.planCache()->fetch(key, [&]() {
-                return stream::planDegradation(report, pcfg.array,
-                                               policy);
-            });
-        pool_.reactivateDevice(device, plan, 0.0);
+        // (chaos Recover cleared its faults). Re-plan it healthy.
+        replan(device, report);
     }
 }
 
@@ -1126,9 +992,7 @@ FleetEngine::evaluateBrownout(double now_s)
                brownoutLevel_ > 0) {
         --brownoutLevel_;
     }
-    if (FleetWindow *w = windowAt(now_s))
-        w->brownoutLevel =
-            std::max(w->brownoutLevel, brownoutLevel_);
+    windowAt(now_s); // fold the new level into the window
 }
 
 void
@@ -1149,17 +1013,8 @@ FleetEngine::onProbeSweep(const Event &event)
     evaluateBrownout(now);
     arrivalsSinceSweep_ = 0;
     lastSweepS_ = now;
-
-    // Keep sweeping while real work is still pending; recurring
-    // events don't count, or two of them (sweep + tune) would keep
-    // each other alive forever after the workload drains.
-    if (events_.size() > recurringPending_) {
-        Event next;
-        next.kind = Event::Kind::ProbeSweep;
-        next.timeS = now + config_.ft.probePeriodS;
-        schedule(std::move(next));
-        ++recurringPending_;
-    }
+    scheduleRecurring(Event::Kind::ProbeSweep,
+                      now + config_.ft.probePeriodS);
     controlPlaneAllocs_ += meter.delta();
 
     dispatchDevices(now);
@@ -1180,24 +1035,7 @@ FleetEngine::onReprobe(const Event &event)
 
     const std::uint64_t attempts =
         pool_.bumpReprobeAttempt(device);
-
-    const DevicePoolConfig pcfg = poolConfigFor(config_);
-    stream::DegradationPolicyConfig policy = pcfg.degrade;
-    policy.enabled = true;
-
-    const stream::ProbeReport report = stream::runCalibrationProbe(
-        pcfg.array, slot.faults.get(), slot.framesServed);
-    const double suspect_frac =
-        static_cast<double>(report.suspectColumns.size()) /
-        static_cast<double>(pcfg.array.columns);
-
-    if (suspect_frac >= config_.ft.retireSuspectFraction ||
-        attempts > config_.ft.maxReprobes) {
-        pool_.retireDevice(device);
-        noteActiveDevices(now);
-        controlPlaneAllocs_ += meter.delta();
-        return;
-    }
+    const stream::ProbeReport report = probe(device);
 
     // A reprobe plans around everything it currently sees, so the
     // probe-vs-plan score is clean by construction; health recovers
@@ -1207,8 +1045,13 @@ FleetEngine::onReprobe(const Event &event)
     const double ewma =
         config_.ft.healthAlpha * 1.0 +
         (1.0 - config_.ft.healthAlpha) * slot.healthEwma;
-    pool_.setHealthScore(device, ewma);
-    if (ewma < config_.ft.quarantineEwma) {
+    bool readmitted = false;
+    if (suspectFraction(report) >= config_.ft.retireSuspectFraction ||
+        attempts > config_.ft.maxReprobes) {
+        pool_.retireDevice(device);
+        windowAt(now); // fold the active-device low-water
+    } else if (ewma < config_.ft.quarantineEwma) {
+        pool_.setHealthScore(device, ewma);
         const double u = streamRng(config_.seed, kReprobePass,
                                    device * 64 + attempts)
                              .uniform();
@@ -1219,25 +1062,16 @@ FleetEngine::onReprobe(const Event &event)
                             static_cast<unsigned>(attempts), u);
         r.resource = static_cast<int>(device);
         schedule(std::move(r));
-        controlPlaneAllocs_ += meter.delta();
-        return;
+    } else {
+        replan(device, report); // resets health to 1
+        ++activeDevices_;
+        windowAt(now);
+        readmitted = true;
     }
-
-    const std::uint64_t epoch =
-        device + pool_.devices() * (slot.planGeneration + 1);
-    const std::uint64_t key =
-        stream::degradePlanKey(epoch, pcfg.array, policy);
-    const stream::DegradePlan plan =
-        pool_.planCache()->fetch(key, [&]() {
-            return stream::planDegradation(report, pcfg.array,
-                                           policy);
-        });
-    pool_.reactivateDevice(device, plan, suspect_frac);
-    ++activeDevices_;
-    noteActiveDevices(now);
     controlPlaneAllocs_ += meter.delta();
 
-    dispatchDevices(now);
+    if (readmitted)
+        dispatchDevices(now);
 }
 
 void
@@ -1331,15 +1165,7 @@ FleetEngine::onTuneStep(const Event &event)
         }
     }
 
-    // Same recurring-event rule as onProbeSweep: only continue while
-    // non-recurring work remains.
-    if (events_.size() > recurringPending_) {
-        Event next;
-        next.kind = Event::Kind::TuneStep;
-        next.timeS = now + config_.tune.windowS;
-        schedule(std::move(next));
-        ++recurringPending_;
-    }
+    scheduleRecurring(Event::Kind::TuneStep, now + config_.tune.windowS);
     controlPlaneAllocs_ += meter.delta();
 
     dispatchDevices(now);
@@ -1356,13 +1182,13 @@ FleetEngine::dispatchHosts(double now_s)
         Session *s = db_.find(qf.session);
         fatal_if(s == nullptr, "queued frame of unknown session");
 
-        if (ftOn() && qf.deadlineS > 0.0 && now_s >= qf.deadlineS) {
+        if (qf.deadlineS > 0.0 && now_s >= qf.deadlineS) {
             shedWithCause(s, StatusCode::DeadlineExceeded, now_s);
             continue;
         }
 
         const int host = pool_.leaseHost(qf.session);
-        const ServingView m = servingFor(*s);
+        const tune::OpModel &m = servingFor(*s);
 
         double service = qf.bypass ? m.hostFullS : m.hostTailS;
         const double energy = qf.bypass ? m.hostFullJ : m.hostTailJ;
@@ -1449,18 +1275,14 @@ FleetEngine::flushQueues(double now_s)
     // Terminal-status guarantee: whatever is still queued when the
     // event loop drains (every device quarantined or retired, say)
     // is shed UNAVAILABLE rather than silently lost. A no-op with
-    // the layer off — the legacy loop always drains its queues.
+    // the layer off — the loop always drains its queues then.
     QueuedFrame qf;
     std::size_t cls = 0;
-    while (deviceQueue_.tryPopWeighted(qf, cls)) {
-        Session *s = db_.find(qf.session);
-        if (s != nullptr)
-            shedWithCause(s, StatusCode::Unavailable, now_s);
-    }
-    while (hostQueue_.tryPopWeighted(qf, cls)) {
-        Session *s = db_.find(qf.session);
-        if (s != nullptr)
-            shedWithCause(s, StatusCode::Unavailable, now_s);
+    for (ClassedQueue<QueuedFrame> *queue : {&deviceQueue_, &hostQueue_}) {
+        while (queue->tryPopWeighted(qf, cls)) {
+            if (Session *s = db_.find(qf.session))
+                shedWithCause(s, StatusCode::Unavailable, now_s);
+        }
     }
 }
 
@@ -1614,20 +1436,7 @@ FleetEngine::buildReport() const
         ClassReport &cr = classes[c];
         ClassAccum &ca = accum[c];
         ++cr.sessions;
-        cr.offered += s.stats.offered;
-        cr.admitted += s.stats.admitted;
-        cr.dropped += s.stats.dropped;
-        cr.shed += s.stats.shed;
-        cr.completed += s.stats.completed;
-        cr.sloViolations += s.stats.sloViolations;
-        cr.shedDeadline += s.stats.shedDeadline;
-        cr.shedUnavailable += s.stats.shedUnavailable;
-        cr.shedResource += s.stats.shedResource;
-        cr.shedBrownout += s.stats.shedBrownout;
-        cr.retries += s.stats.retries;
-        cr.hedges += s.stats.hedges;
-        cr.hedgeWins += s.stats.hedgeWins;
-        cr.degraded += s.stats.degraded;
+        cr += s.stats;
         cr.latencyS.merge(s.stats.latencyS);
         ca.energySumJ += s.stats.systemJ.mean() *
                          static_cast<double>(s.stats.systemJ.count());
@@ -1663,19 +1472,7 @@ FleetEngine::buildReport() const
                              : 0.0;
         cr.fairness = jainIndex(accum[c].shares);
 
-        r.offered += cr.offered;
-        r.admitted += cr.admitted;
-        r.dropped += cr.dropped;
-        r.shed += cr.shed;
-        r.completed += cr.completed;
-        r.shedDeadline += cr.shedDeadline;
-        r.shedUnavailable += cr.shedUnavailable;
-        r.shedResource += cr.shedResource;
-        r.shedBrownout += cr.shedBrownout;
-        r.retries += cr.retries;
-        r.hedges += cr.hedges;
-        r.hedgeWins += cr.hedgeWins;
-        r.degraded += cr.degraded;
+        r += cr;
         r.classes[c] = std::move(cr);
     }
 
@@ -1732,14 +1529,11 @@ FleetEngine::run()
     events_.reserve(config_.sessions + 8 * pool_.devices() +
                     pool_.hosts() + config_.chaos.size() +
                     4 * config_.queueCapacity + 64);
-    if (ftOn()) {
-        records_.resize(pool_.devices() + 2);
-        for (std::size_t i = 0; i < records_.size(); ++i)
-            records_[i].freeNext =
-                i + 1 < records_.size() ? static_cast<int>(i + 1)
-                                        : -1;
-        recordFreeHead_ = 0;
-    }
+    records_.resize(pool_.devices() + 2);
+    for (std::size_t i = 0; i < records_.size(); ++i)
+        records_[i].freeNext =
+            i + 1 < records_.size() ? static_cast<int>(i + 1) : -1;
+    recordFreeHead_ = 0;
     activeDevices_ = pool_.lifecycleCount(DeviceLifecycle::Active);
     if (config_.windowS > 0.0) {
         const double horizon =

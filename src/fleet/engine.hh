@@ -38,10 +38,15 @@
  *    down: shed BEST_EFFORT arrivals, then force BACKGROUND to
  *    Bypass plans; INTERACTIVE is never touched.
  *
- * Every admitted frame reaches exactly one terminal status —
- * completed (possibly degraded) or shed with a cause — and the
- * conservation invariants offered == admitted + dropped and
- * admitted == completed + shed hold with the layer on or off.
+ * One request path: every device dispatch — first attempt, retry or
+ * hedge, with the layer on or off — runs through a pooled request
+ * record and one leg launcher, and every device completion settles
+ * through one path. "Layer off" means the policy steps are inert
+ * (no deadlines, failure draws, timers, hedges or brownout levels),
+ * not a separate code path, so every admitted frame reaches exactly
+ * one terminal status — completed (possibly degraded) or shed with a
+ * cause — and the conservation invariants offered == admitted +
+ * dropped and admitted == completed + shed hold either way.
  *
  * Determinism: the event loop is single-threaded over a min-heap
  * keyed by (time, sequence), and all randomness (class draws,
@@ -85,8 +90,10 @@
 #include "fleet/session_db.hh"
 #include "nn/network.hh"
 #include "redeye/compiler.hh"
+#include "stream/probe.hh"
 #include "system/jetson.hh"
 #include "tune/controller.hh"
+#include "tune/op_model.hh"
 #include "tune/scene.hh"
 
 namespace redeye {
@@ -276,12 +283,6 @@ class FleetEngine
         return *pool_.planCache();
     }
 
-    /** Unloaded (healthy-device) analog service time per class. */
-    double classDeviceS(TrafficClass cls) const;
-
-    /** Unloaded digital-tail service time per class. */
-    double classHostS(TrafficClass cls) const;
-
     /** Effective latency SLO per class (auto-derived when 0). */
     double classSloS(TrafficClass cls) const;
 
@@ -319,10 +320,9 @@ class FleetEngine
                                ///< or chaos schedule index
         double busyS = 0.0;    ///< service time to account at release
         double energyJ = 0.0;  ///< analog energy to account at release
-        int record = -1;       ///< request-record of a FT device leg
+        int record = -1;       ///< request record of a device leg
         std::uint8_t leg = 0;  ///< leg index within the record
         std::uint32_t gen = 0; ///< record generation guard
-        bool failed = false;   ///< DeviceDone: attempt output is bad
     };
 
     struct EventAfter {
@@ -339,67 +339,45 @@ class FleetEngine
     struct RequestLeg {
         int device = -1;
         bool done = false;     ///< DeviceDone arrived
-        bool dead = false;     ///< superseded (timeout / lost race)
+        bool dead = false;     ///< timed out or failed
         bool willFail = false; ///< drawn at dispatch
     };
 
     /**
-     * In-flight request bookkeeping for the fault-tolerance layer:
-     * one record per dispatched attempt (plus its hedge leg), pooled
-     * and free-listed. A record always holds at least one physical
-     * device leg, so the pool is bounded by the device count.
+     * In-flight request bookkeeping: one record per dispatched
+     * attempt (plus its hedge leg), pooled and free-listed. A record
+     * always holds at least one physical device leg, so the pool is
+     * bounded by the device count.
      */
     struct RequestRecord {
         QueuedFrame qf;
         std::uint32_t gen = 0;
         std::uint8_t legCount = 0;
         std::uint8_t legsInFlight = 0;
-        bool settled = false; ///< a leg won; frame went downstream
-        bool closed = false;  ///< outcome decided (settle/shed/retry)
+        bool closed = false; ///< outcome decided (settle/shed/retry)
         std::array<RequestLeg, 2> legs{};
         int freeNext = -1;
     };
 
     /** Immutable per-class serving model (built at construction). */
     struct ClassModel {
-        std::unique_ptr<nn::Network> net;
         std::vector<std::string> analogLayers;
-        std::shared_ptr<const arch::Program> program;
         arch::RedEyeConfig deviceConfig;
-
-        double deviceS = 0.0;      ///< healthy analog frame time
-        double remapDeviceS = 0.0; ///< ADC-boosted frame time
-        double analogJ = 0.0;      ///< healthy analog frame energy
-        double remapAnalogJ = 0.0; ///< ADC-boosted frame energy
-        double hostTailS = 0.0;    ///< digital tail time
-        double hostTailJ = 0.0;
-        double hostFullS = 0.0;    ///< full network (bypass) time
-        double hostFullJ = 0.0;
-        double sloS = 0.0;         ///< effective latency SLO
+        tune::OpModel serving; ///< the class operating point's pricing
+        double sloS = 0.0;     ///< effective latency SLO
     };
 
     /**
-     * The serving numbers a session's frames are priced with: the
+     * The serving model a session's frames are priced with: the
      * tuned operating point's OpModel when one is active, the class
-     * model otherwise. With the tuner off every session resolves to
-     * its class model, so the view is a pure refactor of the old
-     * models_[cls] reads — values, and therefore runs, identical.
+     * model otherwise (always, with the tuner off).
      */
-    struct ServingView {
-        double deviceS = 0.0;
-        double remapDeviceS = 0.0;
-        double analogJ = 0.0;
-        double remapAnalogJ = 0.0;
-        double hostTailS = 0.0;
-        double hostTailJ = 0.0;
-        double hostFullS = 0.0;
-        double hostFullJ = 0.0;
-    };
-    ServingView servingFor(const Session &s) const;
+    const tune::OpModel &servingFor(const Session &s) const;
 
     void buildClassModels();
     void admitSessions();
     void schedule(Event event);
+    void scheduleRecurring(Event::Kind kind, double time_s);
     bool popEvent(Event &out);
     void onArrival(const Event &event);
     void onDeviceDone(const Event &event);
@@ -414,30 +392,46 @@ class FleetEngine
     double poolSuspectFraction() const;
     void dispatchDevices(double now_s);
     void dispatchHosts(double now_s);
-    double deviceServiceS(const DeviceSlot &device,
-                          const QueuedFrame &qf) const;
+
+    /** Dispatch leg @p leg of @p record on the leased @p device:
+     * price it by the device's health, jitter it, draw its failure
+     * and schedule its DeviceDone. Returns the leg's service time. */
+    double launchLeg(int record, std::uint8_t leg, int device,
+                     double now_s);
+
+    /** Push @p qf, shedding any frame the push evicts; false when
+     * @p qf itself was rejected. */
+    bool enqueue(ClassedQueue<QueuedFrame> &queue, std::size_t cls,
+                 QueuedFrame qf, double now_s);
+    void shedWithCause(Session *s, StatusCode code, double now_s);
+    int allocRecord();
+    void freeRecord(int index);
 
     // ---- Fault-tolerance helpers ----
     bool ftOn() const { return config_.ft.enabled; }
-    int allocRecord();
-    void freeRecord(int index);
     bool otherLiveLeg(const RequestRecord &rec,
                       std::uint8_t except) const;
-    void shedWithCause(Session *s, StatusCode code, double now_s);
     void maybeRetry(RequestRecord &rec, int failed_device,
                     double now_s, StatusCode code);
     void quarantine(std::size_t device, double now_s);
     void probeDevice(std::size_t device, double now_s);
+    stream::ProbeReport probe(std::size_t device) const;
+    /** Plan @p device around @p report's suspects and (re-)admit it
+     * Active under that plan. */
+    void replan(std::size_t device, const stream::ProbeReport &report);
     void evaluateBrownout(double now_s);
     double undetectedDeadFraction(const DeviceSlot &slot) const;
     FleetWindow *windowAt(double time_s);
-    void noteActiveDevices(double time_s);
     void flushQueues(double now_s);
 
     void runContentPass();
     FleetReport buildReport() const;
 
     FleetConfig config_;
+
+    /** The served topology: every class and operating point compiles
+     * prefixes of this one network. */
+    std::unique_ptr<nn::Network> net_;
     std::array<ClassModel, kTrafficClasses> models_;
     std::shared_ptr<arch::ProgramCache> programCache_;
 
@@ -458,9 +452,10 @@ class FleetEngine
     double lastEventS_ = 0.0;
     std::size_t expiredSessions_ = 0;
 
-    // ---- Fault-tolerance state (inert with the layer off) ----
     std::vector<RequestRecord> records_;
     int recordFreeHead_ = -1;
+
+    // ---- Fault-tolerance state (inert with the layer off) ----
     std::array<RetryBudget, kTrafficClasses> budgets_{};
     std::array<LogHistogram, kTrafficClasses> serviceHist_;
     double mixServiceS_ = 0.0;  ///< mix-weighted device service

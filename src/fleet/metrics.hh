@@ -4,9 +4,10 @@
  *
  * All aggregate views derive from the per-session accumulators by
  * merging: class latency percentiles come from merging the member
- * sessions' LogHistograms (core/hist.hh), fleet counters from summing
- * the per-session counters. Nothing here keeps raw samples, so the
- * report cost is independent of frames served.
+ * sessions' LogHistograms (core/hist.hh), class and fleet counters
+ * from summing the ServeCounts of the level below. Nothing here
+ * keeps raw samples, so the report cost is independent of frames
+ * served.
  *
  * Fairness is Jain's index over per-session completed throughput
  * within a class: 1.0 when every admitted session of the class got
@@ -68,28 +69,11 @@ struct FleetWindow {
     }
 };
 
-/** Aggregated serving outcome of one traffic class. */
-struct ClassReport {
+/** Aggregated serving outcome of one traffic class: the sum of its
+ * sessions' ServeCounts plus merged distributions. */
+struct ClassReport : ServeCounts {
     TrafficClass cls = TrafficClass::BestEffort;
     std::size_t sessions = 0; ///< sessions admitted in this class
-
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t dropped = 0; ///< rejected at admission
-    std::uint64_t shed = 0;    ///< evicted after admission
-    std::uint64_t completed = 0;
-    std::uint64_t sloViolations = 0;
-
-    // Fault-tolerance attribution (sums of the per-session
-    // counters; see SessionStats for the semantics).
-    std::uint64_t shedDeadline = 0;
-    std::uint64_t shedUnavailable = 0;
-    std::uint64_t shedResource = 0;
-    std::uint64_t shedBrownout = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t hedges = 0;
-    std::uint64_t hedgeWins = 0;
-    std::uint64_t degraded = 0; ///< completions served force-bypassed
 
     double fps = 0.0; ///< completed frames / makespan
 
@@ -110,15 +94,10 @@ struct ClassReport {
     LogHistogram latencyS = makeLatencyHistogram();
 };
 
-/** Whole-fleet serving outcome. */
-struct FleetReport {
+/** Whole-fleet serving outcome: the ServeCounts are the sum over
+ * classes. */
+struct FleetReport : ServeCounts {
     double makespanS = 0.0; ///< virtual time of the last completion
-
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed = 0;
 
     double aggregateFps = 0.0;
 
@@ -147,15 +126,7 @@ struct FleetReport {
     std::uint64_t recoveries = 0;  ///< re-admissions from quarantine
 
     // Fault-tolerance layer totals (zero with the layer off).
-    std::uint64_t shedDeadline = 0;
-    std::uint64_t shedUnavailable = 0;
-    std::uint64_t shedResource = 0;
-    std::uint64_t shedBrownout = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t hedges = 0;
-    std::uint64_t hedgeWins = 0;
     std::uint64_t hedgeSkipped = 0; ///< fire with no device to hedge on
-    std::uint64_t degraded = 0;
     std::uint64_t attemptTimeouts = 0;
     std::uint64_t probeSweeps = 0;
     std::uint64_t chaosKills = 0;

@@ -46,8 +46,12 @@ makeLatencyHistogram()
                         kLatencyHistPerOctave);
 }
 
-/** Rolling per-session serving statistics. */
-struct SessionStats {
+/**
+ * The terminal and attribution counters every serving level keeps:
+ * a session's rolling stats, a class report and the fleet report
+ * all derive from this, and aggregate by operator+=.
+ */
+struct ServeCounts {
     std::uint64_t offered = 0;   ///< frames the client emitted
     std::uint64_t admitted = 0;  ///< frames past admission control
     std::uint64_t dropped = 0;   ///< rejected at admission
@@ -73,6 +77,29 @@ struct SessionStats {
     std::uint64_t hedgeWins = 0; ///< completions won by the hedge leg
     std::uint64_t degraded = 0;  ///< completions served force-bypassed
 
+    ServeCounts &
+    operator+=(const ServeCounts &o)
+    {
+        offered += o.offered;
+        admitted += o.admitted;
+        dropped += o.dropped;
+        shed += o.shed;
+        completed += o.completed;
+        sloViolations += o.sloViolations;
+        shedDeadline += o.shedDeadline;
+        shedUnavailable += o.shedUnavailable;
+        shedResource += o.shedResource;
+        shedBrownout += o.shedBrownout;
+        retries += o.retries;
+        hedges += o.hedges;
+        hedgeWins += o.hedgeWins;
+        degraded += o.degraded;
+        return *this;
+    }
+};
+
+/** Rolling per-session serving statistics. */
+struct SessionStats : ServeCounts {
     LogHistogram latencyS = makeLatencyHistogram();
     RunningStat systemJ; ///< per-completed-frame system energy
 };

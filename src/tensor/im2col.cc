@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "tensor/kernels.hh"
-
 namespace redeye {
 
 void
@@ -103,41 +101,6 @@ col2im(const float *cols, std::size_t channels, std::size_t height,
             }
         }
     }
-}
-
-// The matmul family below is retained as a compatibility veneer over
-// the kernel layer (tensor/kernels.hh): the named-shape gemm API is
-// the primary interface, and these wrappers dispatch to the active
-// backend like any other caller.
-
-void
-matmul(const float *a, const float *b, float *c, std::size_t m,
-       std::size_t k, std::size_t n, bool accumulate)
-{
-    kernels::Epilogue ep;
-    ep.accumulate = accumulate;
-    kernels::gemm(a, kernels::MatShape{m, k}, b, kernels::MatShape{k, n},
-                  c, ep);
-}
-
-void
-matmulTransA(const float *a, const float *b, float *c, std::size_t m,
-             std::size_t k, std::size_t n, bool accumulate)
-{
-    kernels::Epilogue ep;
-    ep.accumulate = accumulate;
-    kernels::gemmTransA(a, kernels::MatShape{k, m}, b,
-                        kernels::MatShape{k, n}, c, ep);
-}
-
-void
-matmulTransB(const float *a, const float *b, float *c, std::size_t m,
-             std::size_t k, std::size_t n, bool accumulate)
-{
-    kernels::Epilogue ep;
-    ep.accumulate = accumulate;
-    kernels::gemmTransB(a, kernels::MatShape{m, k}, b,
-                        kernels::MatShape{n, k}, c, ep);
 }
 
 } // namespace redeye

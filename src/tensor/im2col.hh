@@ -70,36 +70,6 @@ void col2im(const std::vector<float> &cols, std::size_t channels,
 void col2im(const float *cols, std::size_t channels, std::size_t height,
             std::size_t width, const WindowParams &wp, float *image);
 
-/**
- * Row-major matrix product: C[m x n] = A[m x k] * B[k x n], with
- * optional accumulation into C.
- *
- * The matmul family is a deprecated compatibility veneer over the
- * kernel layer (tensor/kernels.hh) and dispatches to the active
- * backend. Call kernels::gemm and friends instead: their named
- * MatShape parameters make the per-variant meaning of m/k/n explicit
- * and validated, and their Epilogue subsumes the accumulate flag.
- */
-[[deprecated("call kernels::gemm with MatShape operands")]]
-void matmul(const float *a, const float *b, float *c, std::size_t m,
-            std::size_t k, std::size_t n, bool accumulate = false);
-
-/**
- * Row-major product with A transposed: C[m x n] = A^T[m x k] * B[k x n]
- * where A is stored as [k x m].
- */
-[[deprecated("call kernels::gemmTransA with MatShape operands")]]
-void matmulTransA(const float *a, const float *b, float *c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate = false);
-
-/**
- * Row-major product with B transposed: C[m x n] = A[m x k] * B^T[k x n]
- * where B is stored as [n x k].
- */
-[[deprecated("call kernels::gemmTransB with MatShape operands")]]
-void matmulTransB(const float *a, const float *b, float *c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate = false);
-
 } // namespace redeye
 
 #endif // REDEYE_TENSOR_IM2COL_HH

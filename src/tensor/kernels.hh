@@ -38,12 +38,8 @@
  *
  * The transposed variants take the *stored* extents of each operand
  * as a named MatShape, and derive (and validate) the m/k/n of the
- * product from them. The historical free functions
- * (matmul/matmulTransA/matmulTransB in tensor/im2col.hh) took bare
- * `m, k, n` size_t arguments whose meaning silently changed per
- * variant — an argument-order hazard this API removes: a swapped
- * dimension now fails the shape check instead of corrupting memory
- * or computing a wrong product.
+ * product from them, so a swapped dimension fails the shape check
+ * instead of corrupting memory or computing a wrong product.
  */
 
 #ifndef REDEYE_TENSOR_KERNELS_HH

@@ -71,37 +71,6 @@ TEST(RunningStatTest, ResetClears)
     EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(HistogramTest, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.5);   // bin 9
-    h.add(-3.0);  // clamped to bin 0
-    h.add(42.0);  // clamped to bin 9
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, BinCenters)
-{
-    Histogram h(0.0, 1.0, 4);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.125);
-    EXPECT_DOUBLE_EQ(h.binCenter(3), 0.875);
-}
-
-TEST(HistogramTest, RejectsEmptyInterval)
-{
-    EXPECT_EXIT(Histogram(1.0, 1.0, 4),
-                ::testing::ExitedWithCode(1), "empty");
-}
-
-TEST(HistogramTest, RejectsZeroBins)
-{
-    EXPECT_EXIT(Histogram(0.0, 1.0, 0),
-                ::testing::ExitedWithCode(1), "bin");
-}
-
 TEST(PercentileTest, OrderStatistics)
 {
     // Unsorted on purpose: percentile() sorts internally.
@@ -145,36 +114,6 @@ TEST(PercentileTest, RejectsEmptyAndBadP)
                 ::testing::ExitedWithCode(1), "percentile");
     EXPECT_EXIT(percentile({1.0}, 101.0),
                 ::testing::ExitedWithCode(1), "percentile");
-}
-
-TEST(HistogramTest, PercentileInterpolatesWithinBin)
-{
-    // 100 samples spread uniformly across [0, 10).
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(i / 10.0);
-    // Each bin holds 10 samples; the median sits at the middle of
-    // the full range under the uniform-within-bin assumption.
-    EXPECT_NEAR(h.percentile(50.0), 5.0, 0.5);
-    EXPECT_NEAR(h.percentile(95.0), 9.5, 0.5);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 10.0);
-}
-
-TEST(HistogramTest, PercentileSingleBinMass)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 8; ++i)
-        h.add(3.5); // all mass in bin 3: [3, 4)
-    const double p50 = h.percentile(50.0);
-    EXPECT_GE(p50, 3.0);
-    EXPECT_LE(p50, 4.0);
-}
-
-TEST(HistogramTest, PercentileRejectsEmpty)
-{
-    Histogram h(0.0, 1.0, 4);
-    EXPECT_EXIT(h.percentile(50.0), ::testing::ExitedWithCode(1),
-                "empty");
 }
 
 TEST(MeasureSnrTest, IdenticalVectorsInfinite)

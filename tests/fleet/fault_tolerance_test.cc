@@ -2,10 +2,12 @@
  * @file
  * Tests for the fleet fault-tolerance layer: chaos-schedule
  * terminality, quarantine/recovery lifecycle, error-threshold
- * detection, retry/hedge accounting, brownout shedding, and the
- * determinism of all of it.
+ * detection, retry/hedge accounting and its session -> class ->
+ * fleet aggregation, the retry-attempt bound, brownout shedding, and
+ * the determinism of all of it.
  */
 
+#include <array>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -52,6 +54,45 @@ chaosFleet()
     recover.device = 0;
     c.chaos.push_back(recover);
     return c;
+}
+
+/** Every ServeCounts field, so aggregation is checked field by field
+ * rather than through ServeCounts::operator+= itself. */
+constexpr std::array<std::uint64_t ServeCounts::*, 14> kServeCountFields =
+    {&ServeCounts::offered,         &ServeCounts::admitted,
+     &ServeCounts::dropped,         &ServeCounts::shed,
+     &ServeCounts::completed,       &ServeCounts::sloViolations,
+     &ServeCounts::shedDeadline,    &ServeCounts::shedUnavailable,
+     &ServeCounts::shedResource,    &ServeCounts::shedBrownout,
+     &ServeCounts::retries,         &ServeCounts::hedges,
+     &ServeCounts::hedgeWins,       &ServeCounts::degraded};
+static_assert(sizeof(ServeCounts) ==
+                  kServeCountFields.size() * sizeof(std::uint64_t),
+              "a ServeCounts field is missing from kServeCountFields");
+
+/** Every counter of a class is the sum over that class's sessions,
+ * and every fleet counter the sum over classes. */
+void
+expectCountsAggregate(const FleetEngine &engine, const FleetReport &r)
+{
+    std::array<std::array<std::uint64_t, kServeCountFields.size()>,
+               kTrafficClasses>
+        session_sums{};
+    engine.sessions().forEach([&](const Session &s) {
+        for (std::size_t f = 0; f < kServeCountFields.size(); ++f)
+            session_sums[classIndex(s.cls)][f] +=
+                s.stats.*kServeCountFields[f];
+    });
+    for (std::size_t f = 0; f < kServeCountFields.size(); ++f) {
+        std::uint64_t class_sum = 0;
+        for (std::size_t c = 0; c < kTrafficClasses; ++c) {
+            EXPECT_EQ(r.classes[c].*kServeCountFields[f],
+                      session_sums[c][f])
+                << "class " << c << " field " << f;
+            class_sum += r.classes[c].*kServeCountFields[f];
+        }
+        EXPECT_EQ(r.*kServeCountFields[f], class_sum) << "field " << f;
+    }
 }
 
 TEST(FaultToleranceTest, LayerOffReportsZeroFtActivity)
@@ -123,6 +164,8 @@ TEST(FaultToleranceTest, ChaosScheduleConservesEveryRequest)
     }
     for (std::size_t i = 1; i < r.windows.size(); ++i)
         EXPECT_GT(r.windows[i].startS, r.windows[i - 1].startS);
+
+    expectCountsAggregate(engine, r);
 }
 
 TEST(FaultToleranceTest, InteractiveHoldsSloThroughChaos)
@@ -290,6 +333,20 @@ TEST(FaultToleranceTest, BrownoutShedsScavengersProtectsInteractive)
     EXPECT_EQ(r.admitted, r.completed + r.shed);
     EXPECT_EQ(r.shed, r.shedDeadline + r.shedUnavailable +
                           r.shedResource + r.shedBrownout);
+    expectCountsAggregate(engine, r);
+}
+
+TEST(FaultToleranceTest, RejectsMaxAttemptsOutsideOneToFour)
+{
+    // Failure draws are keyed 8 * frame + 2 * attempt + leg: a fifth
+    // attempt of frame f would replay the first draw of frame f + 1.
+    FleetConfig cfg = chaosFleet();
+    cfg.qos[classIndex(TrafficClass::BestEffort)].maxAttempts = 5;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "maxAttempts");
+    cfg.qos[classIndex(TrafficClass::BestEffort)].maxAttempts = 0;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "maxAttempts");
 }
 
 TEST(FaultToleranceTest, OnsetHorizonFaultsAreCaughtMidRun)
