@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks of the analog circuit primitives, plus the Section
  * IV-A ablation: charge-sharing tunable capacitor versus the naive
- * binary-weighted MAC sampling array (the 32x energy claim).
+ * binary-weighted MAC sampling array (the 32x energy claim), and the
+ * column array's two conv engines on MiniGoogLeNet's conv1 shape.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,8 @@
 #include "analog/sar_adc.hh"
 #include "analog/tunable_cap.hh"
 #include "core/rng.hh"
+#include "nn/conv.hh"
+#include "redeye/column.hh"
 
 using namespace redeye;
 using namespace redeye::analog;
@@ -105,6 +108,41 @@ BM_ChargeSharingVsNaive(benchmark::State &state)
         cap.naiveDesignEnergy() / cap.worstCaseEnergy();
 }
 BENCHMARK(BM_ChargeSharingVsNaive);
+
+/**
+ * One conv1 call (3 -> 32 channels, 5x5, pad 2, 32x32 frame, 32
+ * columns at 40 dB): arg 0 the per-tap reference engine, arg 1 the
+ * closed-form engine runConvolution() serves.
+ */
+void
+BM_ColumnConvolution(benchmark::State &state)
+{
+    const bool closed_form = state.range(0) != 0;
+    Rng rng(8);
+    nn::ConvolutionLayer conv("conv1", nn::ConvParams::square(32, 5, 1, 2));
+    Tensor x(Shape(1, 3, 32, 32));
+    x.fillUniform(rng, 0.0f, 1.0f);
+    (void)conv.outputShape({x.shape()});
+    conv.initHe(rng);
+    arch::ColumnArrayConfig cfg;
+    cfg.columns = 32;
+    arch::ColumnArray array(cfg, ProcessParams::typical(), Rng(9));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            closed_form ? array.runConvolution(x, conv, true)
+                        : array.runConvolutionReference(x, conv, true));
+    }
+    state.SetLabel(closed_form ? "closed-form" : "reference");
+    state.counters["MMAC"] = benchmark::Counter(
+        32.0 * 75.0 * 1024.0 * 1e-6 *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ColumnConvolution)
+    ->ArgName("closed_form")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -138,6 +138,37 @@ MacUnit::systematicGain(std::size_t taps) const
                     static_cast<double>(cycles(taps)));
 }
 
+MacUnit::WindowStats
+MacUnit::windowStats(std::size_t taps) const
+{
+    const double gain = systematicGain(taps);
+    const double load = feedbackCapF_ + dampingCapF_;
+    const double keep = 1.0 - opAmp_.settlingError(
+                                  opAmp_.settlingTime(load), load);
+    const double op = opAmp_.inputNoiseRms(load);
+    double settle_var = 0.0;
+    double atten = 1.0;
+    for (std::size_t c = 0; c < cycles(taps); ++c) {
+        settle_var += op * op * atten;
+        atten *= keep * keep;
+    }
+    const double damp = ktcNoiseRms(dampingCapF_, process_);
+    return {gain, settle_var + damp * damp};
+}
+
+void
+MacUnit::accrueWindows(std::size_t windows, std::size_t taps,
+                       std::uint64_t active_bits)
+{
+    fatal_if(taps == 0, "empty MAC window");
+    const double load = feedbackCapF_ + dampingCapF_;
+    const double settles = static_cast<double>(windows * cycles(taps));
+    energyJ_ += static_cast<double>(active_bits) * tunable_.bitEnergy() +
+                settles * (opAmp_.settleEnergy(load) +
+                           chargeEnergy(dampingCapF_,
+                                        process_.signalSwing));
+}
+
 void
 MacUnit::resetEnergy()
 {

@@ -12,6 +12,7 @@
 #ifndef REDEYE_ANALOG_MAC_UNIT_HH
 #define REDEYE_ANALOG_MAC_UNIT_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "analog/noise_damping.hh"
@@ -89,6 +90,31 @@ class MacUnit
      * calibrated controller divides it out of the output scaling.
      */
     double systematicGain(std::size_t taps) const;
+
+    /**
+     * Closed-form statistics of multiplyAccumulate() on an n-tap
+     * window. Its output is gain * acc + e, where acc is the sum of
+     * the tap charges (each carrying its tunable capacitor's
+     * sampling noise, variance tunableCap().outputNoiseRms(w)^2) and
+     * e is zero-mean Gaussian noise of variance addedVar: one op amp
+     * settle noise per cycle, attenuated by (1 - err) per later
+     * cycle, plus the damping capacitor's kT/C.
+     */
+    struct WindowStats {
+        double gain;     ///< systematicGain(taps)
+        double addedVar; ///< settle + damping noise variance [V^2]
+    };
+
+    WindowStats windowStats(std::size_t taps) const;
+
+    /**
+     * Accrue the energy multiplyAccumulate() charges for @p windows
+     * n-tap windows whose weights set @p active_bits capacitor bits
+     * in total: the sampling, settling and damping charges of the
+     * same operations, counted instead of replayed.
+     */
+    void accrueWindows(std::size_t windows, std::size_t taps,
+                       std::uint64_t active_bits);
 
     /** Total energy accrued by multiplyAccumulate() calls [J]. */
     double energyJ() const { return energyJ_; }

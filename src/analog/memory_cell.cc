@@ -11,10 +11,17 @@ namespace analog {
 
 AnalogMemoryCell::AnalogMemoryCell(MemoryCellParams params,
                                    const ProcessParams &process)
-    : params_(params), process_(process)
+    : process_(process)
 {
-    fatal_if(params_.holdCapF <= 0.0, "hold capacitance must be > 0");
-    fatal_if(params_.droopPerSecond < 0.0, "droop must be >= 0");
+    setParams(params);
+}
+
+void
+AnalogMemoryCell::setParams(MemoryCellParams params)
+{
+    fatal_if(params.holdCapF <= 0.0, "hold capacitance must be > 0");
+    fatal_if(params.droopPerSecond < 0.0, "droop must be >= 0");
+    params_ = params;
 }
 
 double
@@ -29,6 +36,27 @@ AnalogMemoryCell::writeNoiseRms() const
     return ktcNoiseRms(params_.holdCapF, process_);
 }
 
+double
+AnalogMemoryCell::droop(double held_seconds) const
+{
+    panic_if(held_seconds < 0.0, "negative hold time");
+    return std::exp(-params_.droopPerSecond * held_seconds);
+}
+
+double
+AnalogMemoryCell::readNoiseVar(double held_seconds) const
+{
+    const double w = writeNoiseRms() * droop(held_seconds);
+    return w * w + params_.bufferNoiseRms * params_.bufferNoiseRms;
+}
+
+void
+AnalogMemoryCell::accrueAccesses(std::size_t count)
+{
+    energyJ_ += static_cast<double>(count) *
+                (writeEnergy() + readEnergy());
+}
+
 void
 AnalogMemoryCell::write(double v, Rng &rng)
 {
@@ -41,11 +69,8 @@ double
 AnalogMemoryCell::read(Rng &rng, double held_seconds)
 {
     panic_if(!valid_, "reading an unwritten analog memory cell");
-    panic_if(held_seconds < 0.0, "negative hold time");
-    const double droop = std::exp(-params_.droopPerSecond *
-                                  held_seconds);
     energyJ_ += params_.bufferEnergyJ;
-    return held_ * droop +
+    return held_ * droop(held_seconds) +
            rng.gaussian(0.0, params_.bufferNoiseRms);
 }
 

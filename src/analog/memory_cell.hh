@@ -16,6 +16,8 @@
 #ifndef REDEYE_ANALOG_MEMORY_CELL_HH
 #define REDEYE_ANALOG_MEMORY_CELL_HH
 
+#include <cstddef>
+
 #include "analog/process.hh"
 
 namespace redeye {
@@ -59,6 +61,25 @@ class AnalogMemoryCell
 
     /** RMS write (sampling) noise [V]. */
     double writeNoiseRms() const;
+
+    /** Fraction of the held value left after @p held_seconds. */
+    double droop(double held_seconds) const;
+
+    /**
+     * Variance of a read() after @p held_seconds about droop times
+     * the written value: the write noise through the droop plus the
+     * read buffer's noise [V^2].
+     */
+    double readNoiseVar(double held_seconds = 0.0) const;
+
+    /**
+     * Accrue the energy of @p count write-then-read accesses without
+     * performing them (the closed-form conv engine's op-count path).
+     */
+    void accrueAccesses(std::size_t count);
+
+    /** Reprogram the cell's design; accrued energy is kept. */
+    void setParams(MemoryCellParams params);
 
     /** Total energy accrued [J]. */
     double energyJ() const { return energyJ_; }

@@ -43,8 +43,7 @@ TunableCapacitor::apply(double v_in, int weight, Rng &rng)
         const double atten =
             1.0 / static_cast<double>(1u << (bits_ - j));
         noise += rng.gaussian(0.0, unitNoiseRms_) * atten;
-        energyJ_ += chargeEnergy(process_.unitCapF,
-                                 process_.supplyVoltage);
+        energyJ_ += bitEnergy();
     }
     // Refer the noise to the same normalization as the gain (the
     // combine step divides by 2^(bits-1) full scale).
@@ -72,15 +71,19 @@ TunableCapacitor::energyPerApply(int weight) const
 {
     const unsigned mag = static_cast<unsigned>(std::abs(weight));
     const int active = std::popcount(mag);
-    return static_cast<double>(active) *
-           chargeEnergy(process_.unitCapF, process_.supplyVoltage);
+    return static_cast<double>(active) * bitEnergy();
+}
+
+double
+TunableCapacitor::bitEnergy() const
+{
+    return chargeEnergy(process_.unitCapF, process_.supplyVoltage);
 }
 
 double
 TunableCapacitor::worstCaseEnergy() const
 {
-    return static_cast<double>(bits_) *
-           chargeEnergy(process_.unitCapF, process_.supplyVoltage);
+    return static_cast<double>(bits_) * bitEnergy();
 }
 
 double

@@ -59,6 +59,9 @@ class TunableCapacitor
     /** Sampling energy of one apply() with this weight [J]. */
     double energyPerApply(int weight) const;
 
+    /** Sampling energy of one set weight bit, C0 * Vdd^2 [J]. */
+    double bitEnergy() const;
+
     /**
      * Worst-case (all bits set) sampling energy: n * C0 * Vdd^2.
      * The architecture-level energy model budgets this value.

@@ -30,11 +30,20 @@
  *    like the old sequential-engine behaviour.
  *
  * streamRng() below implements the derivation.
+ *
+ * ## Counter-keyed draws
+ *
+ * Where a layer needs one Gaussian per output element, an engine per
+ * element is too dear (an mt19937_64 seeds 312 words). keyedGaussian()
+ * instead hashes a (key, counter) pair straight into one N(0, 1)
+ * sample, so every element's draw is a pure function of its own index
+ * and the order elements are visited in cannot matter.
  */
 
 #ifndef REDEYE_CORE_RNG_HH
 #define REDEYE_CORE_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -137,6 +146,25 @@ inline Rng
 streamRng(std::uint64_t seed, std::uint64_t pass, std::uint64_t item)
 {
     return Rng(splitmix64(seed ^ splitmix64(pass * kPassSalt + item)));
+}
+
+/**
+ * Counter-keyed standard normal: a pure function of (@p key,
+ * @p counter). Two splitmix64 hashes of the pair give two 53-bit
+ * uniforms, and Box–Muller turns them into one N(0, 1) sample.
+ * Distinct counters under one key give independent draws.
+ */
+inline double
+keyedGaussian(std::uint64_t key, std::uint64_t counter)
+{
+    const std::uint64_t h1 = splitmix64(key ^ splitmix64(2 * counter));
+    const std::uint64_t h2 =
+        splitmix64(key ^ splitmix64(2 * counter + 1));
+    // u1 in (0, 1] keeps the logarithm finite; u2 in [0, 1).
+    const double u1 = static_cast<double>((h1 >> 11) + 1) * 0x1p-53;
+    const double u2 = static_cast<double>(h2 >> 11) * 0x1p-53;
+    return std::sqrt(-2.0 * std::log(u1)) *
+           std::cos(6.283185307179586 * u2);
 }
 
 } // namespace redeye

@@ -1,10 +1,12 @@
 #include "redeye/column.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
 #include "core/logging.hh"
+#include "tensor/kernels.hh"
 
 namespace redeye {
 namespace arch {
@@ -23,7 +25,108 @@ bufferParamsFor(double snr_db)
     return p;
 }
 
+/**
+ * Weight @p w as a column whose weight bank has magnitude bit @p bit
+ * stuck at @p high realizes it; the sign is kept.
+ */
+int
+stuckWeight(int w, int bit, bool high)
+{
+    int mag = std::abs(w);
+    mag = high ? mag | (1 << bit) : mag & ~(1 << bit);
+    return w < 0 ? -mag : mag;
+}
+
+/** Quantize @p w to signed @p bits-bit integers; returns the scale. */
+double
+quantizeKernel(const Tensor &w, unsigned bits, std::vector<int> &wq)
+{
+    const double w_scale = std::max(
+        1e-12, static_cast<double>(w.absMax()));
+    const int w_max = (1 << (bits - 1)) - 1;
+    wq.resize(w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        wq[i] = static_cast<int>(
+            std::lround(w[i] / w_scale * static_cast<double>(w_max)));
+    }
+    return w_scale;
+}
+
+/**
+ * Signal conditioning of one conv call. The controller programs a
+ * per-layer gain (feedback-capacitor sizing) so that the accumulated
+ * output exercises, but does not exceed, the analog swing; it is
+ * derived from the layer's digital reference range, as a calibration
+ * pass would.
+ */
+struct ConvGain {
+    double inScale;   ///< input value held at full swing
+    double kIn;       ///< input value -> MAC input [V]
+    double outFactor; ///< MAC output [V] -> value
+};
+
+ConvGain
+convGain(double in_abs_max, double w_scale, double ref_abs_max,
+         unsigned weight_bits, double swing, double sys_gain)
+{
+    ConvGain g;
+    g.inScale = std::max(1e-12, in_abs_max);
+    const double out_amax = std::max(1e-9, ref_abs_max);
+    // Input scaling into the MAC such that full-range outputs land
+    // at +-swing: out_volts = sum (w_int / 2^(b-1)) * (k * value).
+    const int w_max = (1 << (weight_bits - 1)) - 1;
+    const double denom = static_cast<double>(1 << (weight_bits - 1));
+    g.kIn = denom * w_scale * swing /
+            (static_cast<double>(w_max) * out_amax);
+    // The controller's gain calibration divides out the known
+    // systematic settling/finite-gain attenuation of the MAC.
+    g.outFactor = out_amax / (swing * sys_gain);
+    return g;
+}
+
+/** The kernel as one column realizes it, and its products. */
+struct WeightBank {
+    int stuckBit = -1; ///< stuck magnitude bit; -1 = as quantized
+    bool stuckHigh = false;
+    std::vector<float> weights;  ///< integer weights [M x K]
+    std::vector<float> gains2;   ///< squared tap gains [M x K]
+    std::vector<double> tapVar;  ///< summed tap sampling var, per oc
+    std::uint64_t activeBits = 0; ///< set capacitor bits, all weights
+    std::vector<float> charge;   ///< sum w * held sample [M x P]
+    std::vector<float> readVar;  ///< sum gain^2 * read var [M x P]
+};
+
+/** Per output column: how its serving column alters the result. */
+struct OutColumn {
+    std::size_t bank = 0;
+    double offsetV = 0.0;
+    bool dead = false;
+};
+
+/**
+ * Buffers of the closed-form engine, one set per thread and kept
+ * across calls: the serving path builds a device per frame, so
+ * buffers owned by the array would be reallocated every frame.
+ */
+struct ConvScratch {
+    std::vector<int> wq;             ///< quantized kernel [M x K]
+    std::vector<float> pixels;       ///< staged frame [C x H x W]
+    std::vector<float> cols;         ///< its lowering [K x P]
+    std::vector<double> droop;       ///< per input column
+    std::vector<double> readVar;     ///< per input column, relative
+    std::vector<OutColumn> outCols;  ///< per output column
+    std::vector<WeightBank> banks = std::vector<WeightBank>(1);
+};
+
+ConvScratch &
+convScratch()
+{
+    thread_local ConvScratch scratch;
+    return scratch;
+}
+
 } // namespace
+
 
 ColumnArray::Column::Column(const ColumnArrayConfig &config,
                             const analog::ProcessParams &process,
@@ -55,8 +158,10 @@ void
 ColumnArray::setConvSnrDb(double snr_db)
 {
     config_.convSnrDb = snr_db;
-    for (auto &col : cols_)
+    for (auto &col : cols_) {
         col.mac.setSnrDb(snr_db);
+        col.buffer.setParams(bufferParamsFor(snr_db));
+    }
 }
 
 void
@@ -109,44 +214,222 @@ ColumnArray::runConvolution(const Tensor &in,
     fatal_if(p.groups != 1,
              "functional engine does not support grouped convolution");
 
-    // Signal conditioning. The controller programs a per-layer gain
-    // (feedback-capacitor sizing) so that the accumulated output
-    // exercises, but does not exceed, the analog swing; we derive it
-    // from the layer's digital reference range, as a calibration
-    // pass would.
+    const std::size_t kernels_m = os.c;
+    const std::size_t taps = is.c * p.kernelH * p.kernelW;
+    const std::size_t positions = os.h * os.w;
+    const kernels::MatShape kernel_shape{kernels_m, taps};
+    const kernels::MatShape cols_shape{taps, positions};
+    const WindowParams window{p.kernelH, p.kernelW, p.strideH,
+                              p.strideW, p.padH,    p.padW};
     const double swing = process_.signalSwing;
-    const double in_scale = std::max(1e-12,
-                                     static_cast<double>(in.absMax()));
-    const Tensor &w = layer.weights();
-    const double w_scale = std::max(
-        1e-12, static_cast<double>(w.absMax()));
-    const int w_max = (1 << (config_.weightBits - 1)) - 1;
+    ConvScratch &s = convScratch();
+    s.cols.resize(taps * positions);
+    // Lower a (C, H, W) frame into s.cols.
+    const auto lower = [&](const float *frame) {
+        kernels::im2col(frame, is.c, is.h, is.w, window, s.cols.data());
+    };
+    // Lower a frame whose pixel i (in column x) is value(i, x).
+    const auto lower_staged = [&](auto &&value) {
+        s.pixels.resize(in.size());
+        for (std::size_t i = 0; i < s.pixels.size(); ++i)
+            s.pixels[i] = static_cast<float>(value(i, i % is.w));
+        lower(s.pixels.data());
+    };
 
-    // Pre-quantize the kernel to integers.
-    std::vector<int> wq(w.size());
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        wq[i] = static_cast<int>(
-            std::lround(w[i] / w_scale * static_cast<double>(w_max)));
+    // The digital reference output sets the gain, as
+    // layer.forward() would compute it, in the output buffer.
+    lower(in.data());
+    Tensor out(Shape(1, os.c, os.h, os.w));
+    kernels::gemm(layer.weights().data(), kernel_shape, s.cols.data(),
+                  cols_shape, out.data(),
+                  p.bias ? kernels::Epilogue::biasPerRow(
+                               layer.biases().data())
+                         : kernels::Epilogue{});
+    float ref_max = out.absMax();
+    if (layer.outputClip())
+        ref_max = std::min(ref_max, *layer.outputClip());
+    const double w_scale =
+        quantizeKernel(layer.weights(), config_.weightBits, s.wq);
+    const analog::MacUnit &mac = cols_.front().mac;
+    const ConvGain g =
+        convGain(in.absMax(), w_scale, ref_max, config_.weightBits,
+                 swing, mac.systematicGain(taps));
+
+    // Input column x is buffered in column physicalFor(x): a leaky
+    // cell droops its samples and their write noise.
+    const double read_var = cols_.front().buffer.readNoiseVar();
+    s.droop.resize(is.w);
+    s.readVar.resize(is.w);
+    bool leaky = false;
+    for (std::size_t x = 0; x < is.w; ++x) {
+        const std::size_t pc = physicalFor(x);
+        const fault::ColumnFaults *f = activeFaults(pc);
+        const double hold = f ? f->extraHoldS : 0.0;
+        s.droop[x] = cols_[pc].buffer.droop(hold);
+        s.readVar[x] = cols_[pc].buffer.readNoiseVar(hold) / read_var;
+        leaky |= hold > 0.0;
+    }
+    if (leaky) {
+        lower_staged([&](std::size_t i, std::size_t x) {
+            return in[i] * s.droop[x];
+        });
     }
 
+    // Output column x is served by column physicalFor(x). Each stuck
+    // weight bit setting among the serving columns gets its own
+    // weight bank; bank 0 is the kernel as quantized.
+    std::size_t banks = 1;
+    s.outCols.assign(os.w, OutColumn{});
+    for (std::size_t ox = 0; ox < os.w; ++ox) {
+        const fault::ColumnFaults *f = activeFaults(physicalFor(ox));
+        if (!f)
+            continue;
+        OutColumn &c = s.outCols[ox];
+        c.offsetV = f->offsetV;
+        c.dead = f->dead;
+        if (f->weightStuckBit < 0)
+            continue;
+        c.bank = 1;
+        while (c.bank < banks &&
+               !(s.banks[c.bank].stuckBit == f->weightStuckBit &&
+                 s.banks[c.bank].stuckHigh == f->weightStuckHigh))
+            ++c.bank;
+        if (c.bank == banks) {
+            if (s.banks.size() == banks)
+                s.banks.emplace_back();
+            s.banks[banks].stuckBit = f->weightStuckBit;
+            s.banks[banks].stuckHigh = f->weightStuckHigh;
+            ++banks;
+        }
+    }
+
+    // Per bank: the realized integer weights, their tap statistics,
+    // and the noiseless charge of every window.
+    const analog::TunableCapacitor &cap = mac.tunableCap();
+    for (std::size_t b = 0; b < banks; ++b) {
+        WeightBank &bank = s.banks[b];
+        bank.weights.resize(kernels_m * taps);
+        bank.gains2.resize(kernels_m * taps);
+        bank.tapVar.assign(kernels_m, 0.0);
+        bank.activeBits = 0;
+        for (std::size_t i = 0; i < bank.weights.size(); ++i) {
+            int w = s.wq[i];
+            if (bank.stuckBit >= 0)
+                w = stuckWeight(w, bank.stuckBit, bank.stuckHigh);
+            const double gain = cap.gainFor(w);
+            const double noise = cap.outputNoiseRms(w);
+            bank.weights[i] = static_cast<float>(w);
+            bank.gains2[i] = static_cast<float>(gain * gain);
+            bank.tapVar[i / taps] += noise * noise;
+            bank.activeBits += static_cast<std::uint64_t>(
+                std::popcount(static_cast<unsigned>(std::abs(w))));
+        }
+        bank.charge.resize(kernels_m * positions);
+        kernels::gemm(bank.weights.data(), kernel_shape, s.cols.data(),
+                      cols_shape, bank.charge.data());
+    }
+
+    // Buffer read noise of every window, through the tap gains:
+    // padding taps read no buffer, and im2col zeroes them.
+    lower_staged([&](std::size_t, std::size_t x) { return s.readVar[x]; });
+    for (std::size_t b = 0; b < banks; ++b) {
+        WeightBank &bank = s.banks[b];
+        bank.readVar.resize(kernels_m * positions);
+        kernels::gemm(bank.gains2.data(), kernel_shape, s.cols.data(),
+                      cols_shape, bank.readVar.data());
+    }
+
+    // Energy from the per-tap engine's operation counts: each output
+    // is one window on its serving column's MAC, each in-frame tap
+    // one write and one read of its source column's buffer.
+    for (std::size_t ox = 0; ox < os.w; ++ox) {
+        cols_[physicalFor(ox)].mac.accrueWindows(
+            kernels_m * os.h, taps,
+            os.h * s.banks[s.outCols[ox].bank].activeBits);
+    }
+    std::size_t rows = 0;
+    for (std::size_t oy = 0; oy < os.h; ++oy) {
+        for (std::size_t ky = 0; ky < p.kernelH; ++ky) {
+            const long iy = static_cast<long>(oy * p.strideH + ky) -
+                            static_cast<long>(p.padH);
+            rows += iy >= 0 && iy < static_cast<long>(is.h);
+        }
+    }
+    for (std::size_t ox = 0; ox < os.w; ++ox) {
+        for (std::size_t kx = 0; kx < p.kernelW; ++kx) {
+            const long ix = static_cast<long>(ox * p.strideW + kx) -
+                            static_cast<long>(p.padW);
+            if (ix >= 0 && ix < static_cast<long>(is.w)) {
+                cols_[physicalFor(static_cast<std::size_t>(ix))]
+                    .buffer.accrueAccesses(kernels_m * is.c * rows);
+            }
+        }
+    }
+
+    // Epilogue: noiseless charge to volts, plus one Gaussian of the
+    // window's variance, keyed by this call and the output's index;
+    // then bias, the serving column's faults and clipping.
+    const analog::MacUnit::WindowStats stats = mac.windowStats(taps);
+    const double to_volts =
+        g.kIn / static_cast<double>(1 << (config_.weightBits - 1)) *
+        stats.gain;
+    const double gain2 = stats.gain * stats.gain;
+    const double in_volts = g.inScale * g.kIn / swing;
+    const double read_scale = read_var * in_volts * in_volts;
+    const std::uint64_t key = rng_.raw();
+    const double lo = rectify ? 0.0 : -swing;
+    for (std::size_t oc = 0; oc < kernels_m; ++oc) {
+        const double bias =
+            p.bias ? layer.biases()[oc] / g.outFactor : 0.0;
+        for (std::size_t oy = 0; oy < os.h; ++oy) {
+            for (std::size_t ox = 0; ox < os.w; ++ox) {
+                const std::size_t i = (oc * os.h + oy) * os.w + ox;
+                const OutColumn &c = s.outCols[ox];
+                // A dead column's op amp rails at full swing.
+                double volts = swing;
+                if (!c.dead) {
+                    const WeightBank &bank = s.banks[c.bank];
+                    const double var =
+                        gain2 * (bank.tapVar[oc] +
+                                 read_scale * bank.readVar[i]) +
+                        stats.addedVar;
+                    volts = bank.charge[i] * to_volts +
+                            std::sqrt(var) * keyedGaussian(key, i) +
+                            bias + c.offsetV;
+                }
+                out[i] = static_cast<float>(std::clamp(volts, lo, swing) *
+                                            g.outFactor);
+            }
+        }
+    }
+    return out;
+}
+
+Tensor
+ColumnArray::runConvolutionReference(const Tensor &in,
+                                     nn::ConvolutionLayer &layer,
+                                     bool rectify)
+{
+    const Shape &is = in.shape();
+    fatal_if(is.n != 1, "functional engine runs one frame at a time");
+    const Shape os = layer.outputShape({is});
+    const auto &p = layer.convParams();
+    fatal_if(p.groups != 1,
+             "functional engine does not support grouped convolution");
+
+    const double swing = process_.signalSwing;
+    const Tensor &w = layer.weights();
+    std::vector<int> wq;
+    const double w_scale = quantizeKernel(w, config_.weightBits, wq);
     // Output range estimate (value domain) for the gain setting.
     Tensor digital_ref;
     layer.forward({&in}, digital_ref);
-    const double out_amax = std::max(
-        1e-9, static_cast<double>(digital_ref.absMax()));
-
-    // Input scaling into the MAC such that full-range outputs land
-    // at +-swing: out_volts = sum (w_int / 2^(b-1)) * (k * value).
-    const double denom = static_cast<double>(1 << (config_.weightBits -
-                                                   1));
-    const double k_in = denom * w_scale * swing /
-                        (static_cast<double>(w_max) * out_amax);
-    // The controller's gain calibration divides out the known
-    // systematic settling/finite-gain attenuation of the MAC.
     const std::size_t taps = is.c * p.kernelH * p.kernelW;
-    const double sys_gain =
-        cols_.front().mac.systematicGain(taps);
-    const double out_factor = out_amax / (swing * sys_gain);
+    const ConvGain g = convGain(in.absMax(), w_scale,
+                                digital_ref.absMax(), config_.weightBits,
+                                swing,
+                                cols_.front().mac.systematicGain(taps));
+    const double in_scale = g.inScale;
 
     Tensor out(Shape(1, os.c, os.h, os.w));
     std::vector<double> window;
@@ -198,7 +481,7 @@ ColumnArray::runConvolution(const Tensor &in,
                                         sf ? sf->extraHoldS : 0.0) *
                                     in_scale / swing;
                             }
-                            window.push_back(v * k_in);
+                            window.push_back(v * g.kIn);
                             weights.push_back(
                                 wq[w.shape().index(oc, ic, ky, kx)]);
                         }
@@ -208,21 +491,16 @@ ColumnArray::runConvolution(const Tensor &in,
                     // Stuck capacitor bit in this column's weight
                     // bank: the magnitude bit is forced for every
                     // weight the bank realizes.
-                    const int bit = cf->weightStuckBit;
                     for (int &wv : weights) {
-                        int mag = std::abs(wv);
-                        if (cf->weightStuckHigh)
-                            mag |= 1 << bit;
-                        else
-                            mag &= ~(1 << bit);
-                        wv = wv < 0 ? -mag : mag;
+                        wv = stuckWeight(wv, cf->weightStuckBit,
+                                         cf->weightStuckHigh);
                     }
                 }
                 double volts = col.mac.multiplyAccumulate(window,
                                                           weights,
                                                           rng_);
                 if (p.bias)
-                    volts += layer.biases()[oc] / out_factor;
+                    volts += layer.biases()[oc] / g.outFactor;
                 if (cf) {
                     volts += cf->offsetV;
                     if (cf->dead) {
@@ -239,7 +517,7 @@ ColumnArray::runConvolution(const Tensor &in,
                 volts = std::clamp(volts, rectify ? 0.0 : -swing,
                                    swing);
                 out.at(0, oc, oy, ox) =
-                    static_cast<float>(volts * out_factor);
+                    static_cast<float>(volts * g.outFactor);
             }
         }
     }

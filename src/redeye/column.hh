@@ -13,6 +13,13 @@
  * Used for bit-level validation (does the analog pipeline compute
  * the ConvNet?) and for measuring realized SNR against the
  * noise-layer abstraction.
+ *
+ * Convolution has two engines. runConvolutionReference() replays
+ * every tap through the circuit models, one random draw at a time.
+ * runConvolution() realizes the same output distribution in closed
+ * form: GEMMs give each output's noiseless charge and its noise
+ * variance, and one counter-keyed Gaussian per output supplies the
+ * noise (DESIGN.md §15).
  */
 
 #ifndef REDEYE_REDEYE_COLUMN_HH
@@ -56,11 +63,29 @@ class ColumnArray
      * domain; kernel weights are quantized to the array's digital
      * weight resolution on the fly.
      *
+     * The closed-form engine: each output is its noiseless charge
+     * plus one Gaussian of the variance the per-tap circuits would
+     * accumulate, drawn from a stream keyed by this call's base
+     * (one draw from the array's Rng) and the output's (oc, oy, ox).
+     * Energy is charged from the same operation counts as the
+     * per-tap engine.
+     *
      * @param rectify Clip outputs at the rectified signal range
      * (the folded ReLU).
      */
     Tensor runConvolution(const Tensor &in,
                           nn::ConvolutionLayer &layer, bool rectify);
+
+    /**
+     * The per-tap engine: every buffer write/read and MAC tap runs
+     * through its circuit model with its own random draws. Same
+     * output distribution and energy as runConvolution(), orders of
+     * magnitude slower; kept as the test oracle the closed form is
+     * checked against.
+     */
+    Tensor runConvolutionReference(const Tensor &in,
+                                   nn::ConvolutionLayer &layer,
+                                   bool rectify);
 
     /** Execute max pooling through the comparator circuits. */
     Tensor runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer);
@@ -131,8 +156,6 @@ class ColumnArray
     {
         return map_.empty() ? x % cols_.size() : map_[x % map_.size()];
     }
-
-    Column &columnFor(std::size_t x) { return cols_[physicalFor(x)]; }
 
     /**
      * Faults of physical column @p physical active at the armed

@@ -141,8 +141,7 @@ RedEyeDevice::tryRun(nn::Network &net,
     array_.resetEnergy();
     DeviceRun result;
     std::map<std::string, Tensor> acts;
-    Tensor last = input;
-    std::string last_name = nn::kInputName;
+    const Tensor *last = &input;
 
     // Validation guarantees every fetched activation exists.
     auto fetch = [&](const std::string &name) -> const Tensor & {
@@ -248,12 +247,11 @@ RedEyeDevice::tryRun(nn::Network &net,
         }
 
         result.executedLayers.push_back(layer.name());
-        acts[layer.name()] = out;
-        last = std::move(out);
-        last_name = layer.name();
+        // Map nodes are stable: the pointer outlives later inserts.
+        last = &(acts[layer.name()] = std::move(out));
     }
 
-    result.features = array_.runQuantization(last);
+    result.features = array_.runQuantization(*last);
     result.energy = array_.energy();
     result.forcedDecisions = array_.forcedDecisions();
     return result;

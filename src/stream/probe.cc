@@ -39,23 +39,12 @@ probeRamp(std::size_t columns)
     return ramp;
 }
 
-/** Run the probe workload through one array. */
+/** What the probe workload produced on one array. */
 struct ProbeOutputs {
-    Tensor conv;   ///< conv + readout, one value per column
-    Tensor pooled; ///< 2-wide max pool, comparator decisions
+    Tensor conv;    ///< unit-weight conv, one value per column and row
+    Tensor readout; ///< the reference's conv output through the ADCs
+    Tensor pooled;  ///< 2-wide max pool, comparator decisions
 };
-
-ProbeOutputs
-runWorkload(arch::ColumnArray &array, const Tensor &ramp,
-            nn::ConvolutionLayer &conv,
-            const nn::MaxPoolLayer &pool)
-{
-    ProbeOutputs out;
-    Tensor convolved = array.runConvolution(ramp, conv, true);
-    out.pooled = array.runMaxPool(convolved, pool);
-    out.conv = array.runQuantization(convolved);
-    return out;
-}
 
 } // namespace
 
@@ -91,16 +80,26 @@ runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
 
     nn::MaxPoolLayer pool("probe/pool", nn::PoolParams{2, 1, 0});
 
-    // Identically seeded arrays realize identical noise; the
-    // difference below is purely the fault contribution.
+    // Identically seeded arrays realize identical noise: the conv
+    // engine keys each output's noise to its index, so a healthy
+    // column's output is bit-identical in both and the difference
+    // below is purely the fault contribution.
     const auto process = analog::ProcessParams::typical();
     arch::ColumnArray reference(array_config, process,
                                 Rng(config.seed));
     arch::ColumnArray probed(array_config, process, Rng(config.seed));
     probed.armFaults(faults, frame);
 
-    const ProbeOutputs want = runWorkload(reference, ramp, conv, pool);
-    const ProbeOutputs got = runWorkload(probed, ramp, conv, pool);
+    ProbeOutputs want, got;
+    want.conv = reference.runConvolution(ramp, conv, true);
+    got.conv = probed.runConvolution(ramp, conv, true);
+    // Both ADC banks convert the same signal. The readout scales by
+    // its input's peak, so converting each array's own output would
+    // let a railed column shift every healthy column's codes.
+    want.readout = reference.runQuantization(want.conv);
+    got.readout = probed.runQuantization(want.conv);
+    want.pooled = reference.runMaxPool(want.conv, pool);
+    got.pooled = probed.runMaxPool(got.conv, pool);
 
     const double scale = std::max(
         1e-12, static_cast<double>(want.conv.absMax()));
@@ -110,10 +109,13 @@ runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
     for (std::size_t x = 0; x < columns; ++x) {
         for (std::size_t y = 0; y < want.conv.shape().h; ++y) {
             report.columnError[x] = std::max(
-                report.columnError[x],
-                std::abs(got.conv.at(0, 0, y, x) -
-                         want.conv.at(0, 0, y, x)) /
-                    scale);
+                {report.columnError[x],
+                 std::abs(got.conv.at(0, 0, y, x) -
+                          want.conv.at(0, 0, y, x)) /
+                     scale,
+                 std::abs(got.readout.at(0, 0, y, x) -
+                          want.readout.at(0, 0, y, x)) /
+                     scale});
         }
     }
     // Max-pool output x is served by column x's comparator (kernel 2,

@@ -12,11 +12,13 @@
  * readout, and flags every column whose error exceeds a threshold.
  *
  * The comparison trick: the reference array and the probed array are
- * seeded identically, and the fault hooks never consume extra noise
- * draws (dead columns still run their MACs), so both arrays realize
- * the *same* noise. The per-column difference is therefore exactly
- * the fault contribution — the probe needs no averaging and detects
- * faults well below the noise floor.
+ * seeded identically, and the conv engine keys each output's noise to
+ * its index, so both arrays realize the *same* noise on healthy
+ * columns. Both ADC banks convert the reference's conv output, so
+ * the readout's scaling (its input's peak) is shared too. The
+ * per-column difference is therefore exactly the fault contribution
+ * — the probe needs no averaging and detects faults well below the
+ * noise floor.
  */
 
 #ifndef REDEYE_STREAM_PROBE_HH

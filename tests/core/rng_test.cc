@@ -1,5 +1,7 @@
 /** @file Tests for the deterministic random stream. */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/rng.hh"
@@ -104,6 +106,33 @@ TEST(RngTest, BernoulliProbability)
     for (int i = 0; i < 20000; ++i)
         hits += rng.bernoulli(0.3) ? 1 : 0;
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
+}
+
+TEST(RngTest, KeyedGaussianIsStandardNormal)
+{
+    RunningStat stat;
+    std::size_t beyond_3sigma = 0;
+    for (std::uint64_t i = 0; i < 200000; ++i) {
+        const double z = keyedGaussian(0x5eed, i);
+        stat.add(z);
+        beyond_3sigma += std::abs(z) > 3.0;
+    }
+    EXPECT_NEAR(stat.mean(), 0.0, 0.01);
+    EXPECT_NEAR(stat.stddev(), 1.0, 0.01);
+    // P(|z| > 3) = 0.0027 for a normal variate.
+    EXPECT_NEAR(beyond_3sigma / 200000.0, 0.0027, 0.0006);
+}
+
+TEST(RngTest, KeyedGaussianIsAPureFunctionOfItsKey)
+{
+    EXPECT_EQ(keyedGaussian(1, 42), keyedGaussian(1, 42));
+    EXPECT_NE(keyedGaussian(1, 42), keyedGaussian(2, 42));
+    EXPECT_NE(keyedGaussian(1, 42), keyedGaussian(1, 43));
+    // Draws under one key are uncorrelated with their neighbours.
+    double lag1 = 0.0;
+    for (std::uint64_t i = 0; i < 100000; ++i)
+        lag1 += keyedGaussian(7, i) * keyedGaussian(7, i + 1);
+    EXPECT_NEAR(lag1 / 100000.0, 0.0, 0.015);
 }
 
 } // namespace
