@@ -272,7 +272,7 @@ main(int argc, char **argv)
                      served ? fmt(r.cls.p50S, 6) : "",
                      served ? fmt(r.cls.p95S, 6) : "",
                      served ? fmt(r.cls.p99S, 6) : "",
-                     fmt(r.cls.sloLatencyS, 6),
+                     fmt(r.cls.sloS, 6),
                      fmt(r.cls.sloAttainment, 4),
                      fmt(r.cls.fairness, 4),
                      fmt(r.cls.meanSystemJ, 9),

@@ -88,11 +88,17 @@ class Rng
                                                            hi)(engine_);
     }
 
-    /** Gaussian with the given mean and standard deviation. */
+    /**
+     * Gaussian with the given mean and standard deviation (>= 0).
+     * Scales a standard normal draw: std::normal_distribution
+     * requires stddev > 0, and a zero-sigma draw still consumes the
+     * same engine words, so noise streams stay aligned.
+     */
     double
     gaussian(double mean = 0.0, double stddev = 1.0)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        return std::normal_distribution<double>()(engine_) * stddev +
+               mean;
     }
 
     /** Poisson sample with the given mean (mean >= 0). */

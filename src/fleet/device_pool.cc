@@ -14,6 +14,12 @@ namespace {
 /** Pass salts separating the pool's fault draws. */
 constexpr std::uint64_t kHealthPass = 0xf1ee7;
 
+/** Base seed of the per-device fault draws. */
+constexpr std::uint64_t kFaultSeed = 0xdefa17;
+
+/** Dead-column rate of a device drawn bricked. */
+constexpr double kBrickedDeadColumns = 0.9;
+
 /** Rank for the healthiest-first lease scan. */
 int
 healthRank(stream::DegradeMode mode)
@@ -69,10 +75,10 @@ DevicePool::DevicePool(
         // counter-based so the draw for device i is independent of
         // the pool size and of every other device.
         const double u =
-            streamRng(config.seed, kHealthPass, i).uniform();
+            streamRng(kFaultSeed, kHealthPass, i).uniform();
         double dead = 0.0;
         if (u < config.brickedFraction)
-            dead = config.brickedDeadColumns;
+            dead = kBrickedDeadColumns;
         else if (u < config.brickedFraction + config.faultyFraction)
             dead = config.faultyDeadColumns;
         slot.deadColumnFraction = dead;
@@ -83,7 +89,7 @@ DevicePool::DevicePool(
         if (dead > 0.0) {
             fault::FaultCampaign campaign =
                 fault::FaultCampaign::deadColumns(
-                    dead, splitmix64(config.seed ^ (i + 1)));
+                    dead, splitmix64(kFaultSeed ^ (i + 1)));
             campaign.onsetHorizon = config.onsetHorizonFrames;
             slot.faults = std::make_shared<const fault::FaultModel>(
                 campaign, config.array.columns);

@@ -64,11 +64,11 @@ struct DevicePoolConfig {
 
     /**
      * Fraction drawn with catastrophic damage (policy answer:
-     * Bypass). Drawn after faultyFraction from the same stream, so
-     * the two populations are disjoint.
+     * Bypass; dead rate fixed in device_pool.cc). Drawn after
+     * faultyFraction from the same stream, so the two populations
+     * are disjoint.
      */
     double brickedFraction = 0.0;
-    double brickedDeadColumns = 0.9;
 
     /**
      * When nonzero, drawn fault campaigns onset at a per-column
@@ -80,8 +80,6 @@ struct DevicePoolConfig {
      * 0 preserves the static draw-at-birth behavior bit-for-bit.
      */
     std::uint64_t onsetHorizonFrames = 0;
-
-    std::uint64_t seed = 0xdefa17; ///< fault-draw stream base
 
     /** Array the devices instantiate (probe target). */
     arch::ColumnArrayConfig array;

@@ -16,6 +16,7 @@
 #include "stream/frame_source.hh"
 #include "stream/probe.hh"
 #include "stream/vision.hh"
+#include "system/jetson.hh"
 
 namespace redeye {
 namespace fleet {
@@ -34,12 +35,66 @@ constexpr std::uint64_t kFailPass = 0xfa11;
 constexpr std::uint64_t kBackoffPass = 0xbac0ff;
 constexpr std::uint64_t kRetryPass = 0x4e72;
 constexpr std::uint64_t kHedgePass = 0x43d9e;
-constexpr std::uint64_t kReprobePass = 0x4e9086;
 constexpr std::uint64_t kProxyPass = 0x960c5;
 
 /** Flow-control-only service time of a bypassed device: the frame
  * transits the array's routing fabric without engaging a module. */
 constexpr double kBypassRouteS = 50e-6;
+
+/** Lognormal sigma of the multiplicative service-time jitter. */
+constexpr double kServiceJitterSigma = 0.1;
+
+/** Stddev of the Gaussian noise on per-frame accuracy-proxy
+ * observations fed to the tuner. */
+constexpr double kTuneObservationNoise = 0.02;
+
+// Fault-tolerance policy (DESIGN.md §13).
+
+/** EWMA weight of the newest probe score. */
+constexpr double kHealthAlpha = 0.5;
+
+/** Quarantine a device whose probe found uncovered suspects and
+ * whose EWMA health dropped below this; a reprobed device is
+ * re-admitted once its EWMA climbs back to it. */
+constexpr double kQuarantineEwma = 0.9;
+
+/** Serving errors since the last (re)plan that force quarantine
+ * without waiting for a sweep. */
+constexpr std::uint64_t kErrorThreshold = 3;
+
+/** An attempt on a device with undetected dead-column fraction u
+ * fails with probability min(1, kFailureSensitivity * u). */
+constexpr double kFailureSensitivity = 1.0;
+
+/** Reprobe schedule of a quarantined device. Zero jitter makes the
+ * delay ignore its uniform draw, so reprobes pass 0 for it. */
+constexpr BackoffConfig kReprobeBackoff{0.05, 2.0, 1.0, 0.0};
+
+/** Reprobes before a quarantined device is retired. */
+constexpr std::uint64_t kMaxReprobes = 8;
+
+/** Probe suspect fraction at or above which a reprobed device is
+ * retired outright instead of re-admitted. */
+constexpr double kRetireSuspectFraction = 0.97;
+
+/** Backoff between retry attempts; the jitter draw comes from the
+ * request's counter stream. */
+constexpr BackoffConfig kRetryBackoff{0.002, 2.0, 0.05, 0.5};
+
+/** Retry-budget token ceiling per class (burst allowance); the
+ * sustained rate is QosClassConfig::retryBudgetRatio. */
+constexpr double kRetryBudgetCap = 32.0;
+
+/** Device-service latency percentile past which a hedge fires. */
+constexpr double kHedgePercentile = 95.0;
+
+/** A request must complete by arrival + kDeadlineMultiplier x its
+ * class SLO or it is shed with DEADLINE_EXCEEDED. */
+constexpr double kDeadlineMultiplier = 2.0;
+
+/** An attempt predicted to outlive kAttemptTimeoutMultiplier x the
+ * unloaded device service time is timed out and retried. */
+constexpr double kAttemptTimeoutMultiplier = 8.0;
 
 /** Replay examples per shape class for the content pass. */
 constexpr std::size_t kContentPerClass = 2;
@@ -118,6 +173,11 @@ FleetEngine::FleetEngine(const FleetConfig &config)
     for (const QosClassConfig &q : config_.qos)
         fatal_if(q.maxAttempts < 1 || q.maxAttempts > 4,
                  "maxAttempts must be in [1, 4], got ", q.maxAttempts);
+    // An inverted band would flip the brownout level on every sweep.
+    fatal_if(config_.ft.brownoutLow >= config_.ft.brownoutHigh,
+             "ft.brownoutLow (", config_.ft.brownoutLow,
+             ") must be below ft.brownoutHigh (",
+             config_.ft.brownoutHigh, ")");
 
     // Every class serves the same trained topology; only the
     // operating point differs, so the shared ProgramCache keys
@@ -131,7 +191,6 @@ FleetEngine::FleetEngine(const FleetConfig &config)
         // class serves the same topology, so retuned sessions of any
         // class share compilations through the one ProgramCache.
         tune::OpModelCache::Config mc;
-        mc.host = config_.hostProcessor;
         mc.adcBoostBits = config_.pool.degrade.adcBoostBits;
         opModels_ = std::make_unique<tune::OpModelCache>(
             *net_, programCache_, mc);
@@ -139,8 +198,7 @@ FleetEngine::FleetEngine(const FleetConfig &config)
 
     for (std::size_t c = 0; c < kTrafficClasses; ++c)
         budgets_[c] = RetryBudget(config_.qos[c].retryBudgetRatio,
-                                  config_.ft.retryBudgetCap,
-                                  config_.ft.retryBudgetCap);
+                                  kRetryBudgetCap, kRetryBudgetCap);
 }
 
 FleetEngine::~FleetEngine() = default;
@@ -192,15 +250,13 @@ FleetEngine::buildClassModels()
         const double tail_macs = static_cast<double>(
             models::digitalTailMacs(*net_, m.analogLayers));
         sys::JetsonTk1 host(sys::JetsonParams::paper(
-            config_.hostProcessor, full_macs, tail_macs));
+            sys::JetsonProcessor::GPU, full_macs, tail_macs));
         om.hostTailS = host.executionTimeS(tail_macs);
         om.hostTailJ = host.executionEnergyJ(tail_macs);
         om.hostFullS = host.executionTimeS(full_macs);
         om.hostFullJ = host.executionEnergyJ(full_macs);
 
-        m.sloS = q.sloLatencyS > 0.0
-                     ? q.sloLatencyS
-                     : q.sloMultiplier * (om.deviceS + om.hostTailS);
+        m.sloS = q.sloMultiplier * (om.deviceS + om.hostTailS);
     }
 
     // Mix-weighted service times for the brownout controller's
@@ -502,8 +558,7 @@ FleetEngine::onArrival(const Event &event)
     qf.frame = event.qf.frame;
     qf.arrivalS = now;
     if (ftOn())
-        qf.deadlineS = now + config_.qos[cls].deadlineMultiplier *
-                                 models_[cls].sloS;
+        qf.deadlineS = now + kDeadlineMultiplier * models_[cls].sloS;
 
     if (enqueue(deviceQueue_, cls, qf, now)) {
         ++s->stats.admitted;
@@ -548,7 +603,6 @@ FleetEngine::dispatchDevices(double now_s)
         serviceHist_[cls].add(service);
 
         const double device_s = servingFor(*s).deviceS;
-        const QosClassConfig &q = config_.qos[cls];
         auto timer = [&](Event::Kind kind, double time_s,
                          std::uint8_t leg) {
             Event e;
@@ -563,8 +617,7 @@ FleetEngine::dispatchDevices(double now_s)
         // Per-attempt timeout, scheduled only when this attempt is
         // predicted to outlive it (the event would otherwise be a
         // guaranteed no-op).
-        double timeout_at =
-            now_s + q.attemptTimeoutMultiplier * device_s;
+        double timeout_at = now_s + kAttemptTimeoutMultiplier * device_s;
         if (qf.deadlineS > 0.0)
             timeout_at = std::min(timeout_at, qf.deadlineS);
         if (now_s + service > timeout_at)
@@ -573,9 +626,9 @@ FleetEngine::dispatchDevices(double now_s)
         // Hedge: first attempts of hedging classes predicted past the
         // class's device-service percentile get one duplicate
         // dispatch at that percentile mark.
-        if (qf.attempt == 0 && q.hedge) {
+        if (qf.attempt == 0 && config_.qos[cls].hedge) {
             const double delay = serviceHist_[cls].percentileOr(
-                config_.ft.hedgePercentile, 2.0 * device_s);
+                kHedgePercentile, 2.0 * device_s);
             if (service > delay && (qf.deadlineS <= 0.0 ||
                                     now_s + delay < qf.deadlineS))
                 timer(Event::Kind::HedgeFire, now_s + delay, 1);
@@ -627,21 +680,19 @@ FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
         break;
     }
 
-    if (config_.serviceJitterSigma > 0.0) {
-        // The first leg of attempt 0 keeps the legacy (pass, item) so
-        // a run with the layer off is bit-identical to the pre-layer
-        // engine; retries and hedges jitter from their own streams.
-        std::uint64_t pass = kDevicePass;
-        std::uint64_t item = qf.frame;
-        if (leg == 1) {
-            pass = kHedgePass;
-        } else if (qf.attempt > 0) {
-            pass = kRetryPass;
-            item = qf.frame * 8 + qf.attempt;
-        }
-        service *= std::exp(config_.serviceJitterSigma *
-                            streamRng(s->seed, pass, item).gaussian());
+    // The first leg of attempt 0 keeps the legacy (pass, item) so a
+    // run with the layer off is bit-identical to the pre-layer
+    // engine; retries and hedges jitter from their own streams.
+    std::uint64_t pass = kDevicePass;
+    std::uint64_t item = qf.frame;
+    if (leg == 1) {
+        pass = kHedgePass;
+    } else if (qf.attempt > 0) {
+        pass = kRetryPass;
+        item = qf.frame * 8 + qf.attempt;
     }
+    service *= std::exp(kServiceJitterSigma *
+                        streamRng(s->seed, pass, item).gaussian());
     qf.analogJ = energy;
 
     // Failure draw: undetected dead columns corrupt the output with
@@ -651,8 +702,8 @@ FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
     if (ftOn() && !qf.bypass) {
         const double undetected = undetectedDeadFraction(slot);
         if (undetected > 0.0) {
-            const double p = std::min(
-                1.0, config_.ft.failureSensitivity * undetected);
+            const double p =
+                std::min(1.0, kFailureSensitivity * undetected);
             will_fail = streamRng(s->seed, kFailPass,
                                   failItem(qf.frame, qf.attempt, leg))
                             .uniform() < p;
@@ -706,7 +757,7 @@ FleetEngine::onDeviceDone(const Event &event)
         const std::size_t dev =
             static_cast<std::size_t>(event.resource);
         const std::uint64_t errs = pool_.recordServeError(dev);
-        if (errs >= config_.ft.errorThreshold &&
+        if (errs >= kErrorThreshold &&
             pool_.device(dev).lifecycle == DeviceLifecycle::Active)
             quarantine(dev, now);
         if (!otherLiveLeg(rec, event.leg))
@@ -749,8 +800,8 @@ FleetEngine::maybeRetry(RequestRecord &rec, int failed_device,
             streamRng(s->seed, kBackoffPass,
                       rec.qf.frame * 8 + rec.qf.attempt)
                 .uniform();
-        const double delay = backoffDelayS(config_.ft.retryBackoff,
-                                           rec.qf.attempt, u);
+        const double delay =
+            backoffDelayS(kRetryBackoff, rec.qf.attempt, u);
         if (rec.qf.deadlineS > 0.0 &&
             now_s + delay >= rec.qf.deadlineS) {
             // The backoff alone would blow the deadline.
@@ -860,13 +911,9 @@ FleetEngine::quarantine(std::size_t device, double now_s)
     --activeDevices_;
     windowAt(now_s); // fold the active-device low-water
 
-    const double u =
-        streamRng(config_.seed, kReprobePass, device * 64)
-            .uniform();
     Event r;
     r.kind = Event::Kind::Reprobe;
-    r.timeS =
-        now_s + backoffDelayS(config_.ft.reprobeBackoff, 0, u);
+    r.timeS = now_s + backoffDelayS(kReprobeBackoff, 0, 0.0);
     r.resource = static_cast<int>(device);
     schedule(std::move(r));
 }
@@ -932,11 +979,10 @@ FleetEngine::probeDevice(std::size_t device, double now_s)
         1.0 - static_cast<double>(uncovered) /
                   static_cast<double>(models::kMiniInputSize);
     const double ewma =
-        config_.ft.healthAlpha * score +
-        (1.0 - config_.ft.healthAlpha) * slot.healthEwma;
+        kHealthAlpha * score + (1.0 - kHealthAlpha) * slot.healthEwma;
     pool_.setHealthScore(device, ewma);
 
-    if (uncovered > 0 && ewma < config_.ft.quarantineEwma) {
+    if (uncovered > 0 && ewma < kQuarantineEwma) {
         quarantine(device, now_s);
     } else if (!report.anySuspect() &&
                slot.plan.mode != stream::DegradeMode::Normal &&
@@ -1043,23 +1089,19 @@ FleetEngine::onReprobe(const Event &event)
     // clears the quarantine bar again. Until then: another reprobe,
     // further out on the backoff schedule.
     const double ewma =
-        config_.ft.healthAlpha * 1.0 +
-        (1.0 - config_.ft.healthAlpha) * slot.healthEwma;
+        kHealthAlpha * 1.0 + (1.0 - kHealthAlpha) * slot.healthEwma;
     bool readmitted = false;
-    if (suspectFraction(report) >= config_.ft.retireSuspectFraction ||
-        attempts > config_.ft.maxReprobes) {
+    if (suspectFraction(report) >= kRetireSuspectFraction ||
+        attempts > kMaxReprobes) {
         pool_.retireDevice(device);
         windowAt(now); // fold the active-device low-water
-    } else if (ewma < config_.ft.quarantineEwma) {
+    } else if (ewma < kQuarantineEwma) {
         pool_.setHealthScore(device, ewma);
-        const double u = streamRng(config_.seed, kReprobePass,
-                                   device * 64 + attempts)
-                             .uniform();
         Event r;
         r.kind = Event::Kind::Reprobe;
-        r.timeS = now + backoffDelayS(
-                            config_.ft.reprobeBackoff,
-                            static_cast<unsigned>(attempts), u);
+        r.timeS = now + backoffDelayS(kReprobeBackoff,
+                                      static_cast<unsigned>(attempts),
+                                      0.0);
         r.resource = static_cast<int>(device);
         schedule(std::move(r));
     } else {
@@ -1190,13 +1232,12 @@ FleetEngine::dispatchHosts(double now_s)
         const int host = pool_.leaseHost(qf.session);
         const tune::OpModel &m = servingFor(*s);
 
-        double service = qf.bypass ? m.hostFullS : m.hostTailS;
+        const double service =
+            (qf.bypass ? m.hostFullS : m.hostTailS) *
+            std::exp(kServiceJitterSigma *
+                     streamRng(s->seed, kHostPass, qf.frame)
+                         .gaussian());
         const double energy = qf.bypass ? m.hostFullJ : m.hostTailJ;
-        if (config_.serviceJitterSigma > 0.0) {
-            service *= std::exp(
-                config_.serviceJitterSigma *
-                streamRng(s->seed, kHostPass, qf.frame).gaussian());
-        }
 
         Event done;
         done.kind = Event::Kind::HostDone;
@@ -1253,12 +1294,10 @@ FleetEngine::onHostDone(const Event &event)
                                            scene.difficultyDb,
                                            bypassed,
                                            config_.tune.proxy);
-        if (config_.tuneObservationNoise > 0.0) {
-            proxy += config_.tuneObservationNoise *
-                     streamRng(s->seed, kProxyPass, event.qf.frame)
-                         .gaussian();
-            proxy = std::clamp(proxy, 0.0, 1.0);
-        }
+        proxy += kTuneObservationNoise *
+                 streamRng(s->seed, kProxyPass, event.qf.frame)
+                     .gaussian();
+        proxy = std::clamp(proxy, 0.0, 1.0);
         tune::FeedbackSample fb;
         fb.accuracyProxy = proxy;
         fb.energyJ = event.qf.analogJ + event.energyJ;
@@ -1329,10 +1368,6 @@ FleetEngine::runContentPass()
         vc.convSnrDb = q.convSnrDb;
         vc.adcBits = q.adcBits;
         vc.hostBatch = host_batch;
-        vc.host =
-            config_.hostProcessor == sys::JetsonProcessor::GPU
-                ? stream::HostTail::JetsonGpu
-                : stream::HostTail::JetsonCpu;
         const std::vector<stream::StageSpec> stages =
             stream::makeVisionStages(vc);
         fatal_if(stages.size() != 3, "unexpected vision stage count");
@@ -1448,7 +1483,7 @@ FleetEngine::buildReport() const
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
         ClassReport &cr = classes[c];
         cr.cls = static_cast<TrafficClass>(c);
-        cr.sloLatencyS = models_[c].sloS;
+        cr.sloS = models_[c].sloS;
         if (r.makespanS > 0.0)
             cr.fps = static_cast<double>(cr.completed) /
                      r.makespanS;

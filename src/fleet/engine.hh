@@ -7,12 +7,13 @@
  * of concurrent open-loop Poisson clients cannot each run the full
  * functional pipeline, so service times come from the repo's own
  * analytic models — the pipelined module schedule for the analog
- * stage (redeye/scheduler.hh), the affine-in-MACs Jetson model for
- * the digital tail (system/jetson.hh), the architecture energy model
- * for per-frame analog energy (redeye/energy_model.hh) — while every
- * scheduling decision (admission, eviction, weighted-fair dispatch,
- * per-device degradation) is executed concretely against the shared
- * SessionDb, ClassedQueues and DevicePool.
+ * stage (redeye/scheduler.hh), the affine-in-MACs Jetson TK1 GPU
+ * model for the digital tail (system/jetson.hh), the architecture
+ * energy model for per-frame analog energy (redeye/energy_model.hh)
+ * — while every scheduling decision (admission, eviction,
+ * weighted-fair dispatch, per-device degradation) is executed
+ * concretely against the shared SessionDb, ClassedQueues and
+ * DevicePool.
  *
  * Fault tolerance (DESIGN.md §13, FaultToleranceConfig): with the
  * layer enabled the engine additionally runs
@@ -22,7 +23,7 @@
  *    calibration-probe sweep (stream/probe.hh) scores each device
  *    into an EWMA and quarantines the failing ones;
  *  - **quarantine/recovery** — quarantined devices drain their
- *    leases, reprobe on a jittered backoff, and are re-admitted
+ *    leases, reprobe on an exponential backoff, and are re-admitted
  *    through the DegradePlanCache with a Remap/Bypass plan, or
  *    retired permanently;
  *  - **deadlines, retry, hedging** — every request carries a
@@ -37,6 +38,13 @@
  *    surviving healthy capacity each sweep and walks QoS classes
  *    down: shed BEST_EFFORT arrivals, then force BACKGROUND to
  *    Bypass plans; INTERACTIVE is never touched.
+ *
+ * The layer's policy numbers are named constants in engine.cc
+ * (kHealthAlpha, kQuarantineEwma, kErrorThreshold, kReprobeBackoff,
+ * kRetireSuspectFraction, kRetryBackoff, kHedgePercentile,
+ * kDeadlineMultiplier and the rest, DESIGN.md §13);
+ * FaultToleranceConfig carries only the switch, the sweep period
+ * and the brownout band.
  *
  * One request path: every device dispatch — first attempt, retry or
  * hedge, with the layer on or off — runs through a pooled request
@@ -91,7 +99,6 @@
 #include "nn/network.hh"
 #include "redeye/compiler.hh"
 #include "stream/probe.hh"
-#include "system/jetson.hh"
 #include "tune/controller.hh"
 #include "tune/op_model.hh"
 #include "tune/scene.hh"
@@ -112,72 +119,29 @@ struct ChaosEvent {
     double deadFraction = 0.9; ///< severity of a Kill campaign
 };
 
-/** Fault-tolerance layer knobs (DESIGN.md §13). */
+/**
+ * Fault-tolerance layer knobs (DESIGN.md §13). The policy constants
+ * (health EWMA weight, quarantine and retire thresholds, reprobe and
+ * retry backoff, retry-budget cap, hedge percentile, deadline and
+ * attempt-timeout multipliers) are fixed in engine.cc.
+ */
 struct FaultToleranceConfig {
     /** Master switch. Off (the default) reproduces the pre-layer
      * engine event-for-event. */
     bool enabled = false;
-
-    // ---- Live health ----
 
     /** Calibration-probe sweep period in virtual seconds (0 turns
      * sweeps — and with them quarantine-by-probe and brownout
      * control — off; error-threshold quarantine still runs). */
     double probePeriodS = 0.0;
 
-    /** EWMA weight of the newest probe score. */
-    double healthAlpha = 0.5;
-
-    /** Quarantine a device whose probe found uncovered suspects and
-     * whose EWMA health dropped below this. */
-    double quarantineEwma = 0.9;
-
-    /** Serving errors since the last (re)plan that force quarantine
-     * without waiting for a sweep. */
-    std::uint64_t errorThreshold = 3;
-
-    /**
-     * Serve-failure sensitivity: an attempt on a device with
-     * undetected dead-column fraction u (active faults minus what
-     * the current plan routes around) fails with probability
-     * min(1, sensitivity * u).
-     */
-    double failureSensitivity = 1.0;
-
-    // ---- Quarantine / recovery ----
-
-    /** Reprobe schedule for quarantined devices (deterministic:
-     * jitter defaults to 0). */
-    BackoffConfig reprobeBackoff{0.05, 2.0, 1.0, 0.0};
-
-    /** Reprobes before a quarantined device is retired. */
-    std::uint64_t maxReprobes = 8;
-
-    /** Probe suspect fraction at or above which a device is retired
-     * outright instead of re-admitted. */
-    double retireSuspectFraction = 0.97;
-
-    // ---- Retry / hedging ----
-
-    /** Backoff between retry attempts; jitter draws come from the
-     * request's counter stream, so schedules are reproducible. */
-    BackoffConfig retryBackoff{0.002, 2.0, 0.05, 0.5};
-
-    /** Retry-budget token ceiling per class (burst allowance); the
-     * sustained rate is QosClassConfig::retryBudgetRatio. */
-    double retryBudgetCap = 32.0;
-
-    /** Device-service latency percentile past which a hedge fires. */
-    double hedgePercentile = 95.0;
-
-    // ---- Brownout ----
-
-    /** Demand/capacity ratio above which the controller escalates
-     * one level (1 = shed BEST_EFFORT arrivals, 2 = additionally
-     * force BACKGROUND to Bypass). */
+    /** Demand/capacity ratio above which the brownout controller
+     * escalates one level (1 = shed BEST_EFFORT arrivals, 2 =
+     * additionally force BACKGROUND to Bypass). */
     double brownoutHigh = 1.0;
 
-    /** Ratio below which it de-escalates one level. */
+    /** Ratio below which it de-escalates one level; must be below
+     * brownoutHigh. */
     double brownoutLow = 0.7;
 };
 
@@ -196,12 +160,6 @@ struct FleetConfig {
     DevicePoolConfig pool;      ///< shared serving capacity
     std::size_t queueCapacity = 64; ///< bound of each shared queue
     QosTable qos = defaultQosTable();
-
-    /** Digital tail host for every class. */
-    sys::JetsonProcessor hostProcessor = sys::JetsonProcessor::GPU;
-
-    /** Lognormal sigma of multiplicative service-time jitter. */
-    double serviceJitterSigma = 0.1;
 
     /**
      * When positive, sessions idle longer than this at the end of the
@@ -237,10 +195,6 @@ struct FleetConfig {
      * analogue of a downstream vision model scoring frames.
      */
     tune::SceneSchedule scenes;
-
-    /** Gaussian noise stddev on per-frame proxy observations
-     * (counter-RNG keyed; 0 = noiseless). */
-    double tuneObservationNoise = 0.02;
 
     /**
      * The first contentSessions clients also execute the real vision
@@ -283,7 +237,8 @@ class FleetEngine
         return *pool_.planCache();
     }
 
-    /** Effective latency SLO per class (auto-derived when 0). */
+    /** Latency SLO per class: QosClassConfig::sloMultiplier times
+     * the class's unloaded device + host service time. */
     double classSloS(TrafficClass cls) const;
 
   private:

@@ -83,7 +83,7 @@ struct ClassReport : ServeCounts {
     double p99S = 0.0;
     double meanLatencyS = 0.0;
 
-    double sloLatencyS = 0.0; ///< effective (possibly auto) SLO
+    double sloS = 0.0;          ///< the class latency SLO
     double sloAttainment = 1.0; ///< completions within the SLO
 
     double meanSystemJ = 0.0; ///< per-completed-frame energy

@@ -24,7 +24,7 @@ defaultQosTable()
     // SHALLOWEST queue: with weight w of W total and queue share q of
     // capacity C over a pool draining at R fps, the worst served
     // latency is roughly qC / (R w / W) + service — the shares below
-    // keep that under each class's auto-SLO at the default capacity.
+    // keep that under each class's SLO at the default capacity.
     QosClassConfig interactive;
     interactive.weight = 8;
     interactive.reservedShare = 0.05;

@@ -17,8 +17,12 @@
  *    lower energy, and the distinct operating points key distinct
  *    entries in the shared content-addressed ProgramCache.
  *
- * Each class also carries a latency SLO; the fleet report scores
- * per-class attainment against it.
+ * Each class also carries a latency SLO, derived as sloMultiplier
+ * times the class's unloaded device + host service time; the fleet
+ * report scores per-class attainment against it. The fault-tolerance
+ * layer's deadline and per-attempt timeout are fixed multiples of
+ * the SLO and of the device service time (engine.cc,
+ * kDeadlineMultiplier and kAttemptTimeoutMultiplier).
  */
 
 #ifndef REDEYE_FLEET_QOS_HH
@@ -62,13 +66,8 @@ struct QosClassConfig {
     /** Fraction of the queue bound this class may occupy at most. */
     double maxShare = 1.0;
 
-    /**
-     * Latency SLO in seconds; 0 = auto-derive as
-     * sloMultiplier x (unloaded device + host service time).
-     */
-    double sloLatencyS = 0.0;
-
-    /** Auto-SLO headroom over the unloaded service time. */
+    /** Latency SLO as a multiple of the unloaded device + host
+     * service time. */
     double sloMultiplier = 4.0;
 
     // RedEye operating point served to this class (§VII situational
@@ -80,16 +79,6 @@ struct QosClassConfig {
     // Fault-tolerance parameters (DESIGN.md §13). Only consulted
     // when FleetConfig::ft.enabled is set; with the fault-tolerance
     // layer off these fields are inert.
-
-    /** Request deadline as a multiple of the class SLO: a frame must
-     * complete by arrival + deadlineMultiplier * sloS or it is shed
-     * with DEADLINE_EXCEEDED. */
-    double deadlineMultiplier = 2.0;
-
-    /** Per-attempt timeout as a multiple of the unloaded device
-     * service time: an attempt predicted to outlive this is timed
-     * out and retried on another device. */
-    double attemptTimeoutMultiplier = 8.0;
 
     /** Total attempts per request (first try + retries). */
     unsigned maxAttempts = 3;

@@ -10,6 +10,13 @@
 namespace redeye {
 namespace sim {
 
+namespace {
+
+/** Base seed of the raw sampling model's noise. */
+constexpr std::uint64_t kSensorSeed = 0x5e9505;
+
+} // namespace
+
 EvalResult
 evaluate(nn::Network &net, const data::Dataset &dataset,
          const EvalOptions &options)
@@ -25,7 +32,7 @@ evaluate(nn::Network &net, const data::Dataset &dataset,
     std::optional<noise::SensorSamplingLayer> sensor;
     if (options.sensor) {
         sensor.emplace("@eval_sensor", *options.sensor,
-                       Rng(options.sensorSeed));
+                       Rng(kSensorSeed));
     }
 
     ThreadPool pool(resolveThreadCount(options.threads));

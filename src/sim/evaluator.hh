@@ -33,7 +33,6 @@ struct EvalOptions {
     std::size_t topN = 5;
     std::size_t maxImages = 0; ///< 0 = whole dataset
     std::optional<noise::SensorParams> sensor; ///< raw sampling model
-    std::uint64_t sensorSeed = 0x5e9505;
 
     /**
      * Worker threads for batch-parallel execution: 1 = serial

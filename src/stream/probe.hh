@@ -41,8 +41,6 @@ struct ProbeConfig {
      * Errors are normalized by the probe signal's full scale.
      */
     double threshold = 0.02;
-
-    std::uint64_t seed = 0x9a0be; ///< probe arrays' noise seed
 };
 
 /** What the probe measured. */

@@ -211,14 +211,16 @@ void
 StreamRunner::stageLoop(std::size_t stage, std::size_t worker,
                         WorkerSlot *slot, StreamMetrics &metrics)
 {
-    if (stages_[stage].makeBatchWorker) {
-        stageBatchLoop(stage, worker, slot, metrics);
-        return;
-    }
-
-    std::function<void(StreamFrame &)> fn;
+    // A per-frame stage is a batch of one (its maxBatch is 1): it runs
+    // this same loop and serves the batch's single frame.
+    const StageSpec &spec = stages_[stage];
+    std::function<void(StreamFrame &)> serve_one;
+    std::function<void(std::vector<StreamFrame> &)> serve_batch;
     try {
-        fn = stages_[stage].makeWorker(worker);
+        if (spec.makeBatchWorker)
+            serve_batch = spec.makeBatchWorker(worker);
+        else
+            serve_one = spec.makeWorker(worker);
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(errorMutex_);
@@ -232,96 +234,11 @@ StreamRunner::stageLoop(std::size_t stage, std::size_t worker,
     Queue &in = *queues_[stage];
     Queue *out =
         stage + 1 < stages_.size() ? queues_[stage + 1].get() : nullptr;
-
-    if (fn) {
-        StreamFrame frame;
-        try {
-            while (in.pop(frame)) {
-                metrics.recordQueueDepth(stage, in.size());
-                const auto t0 = Clock::now();
-                if (slot) {
-                    slot->frame.store(frame.index);
-                    slot->claimed.store(false);
-                    slot->startNs.store(
-                        t0.time_since_epoch().count());
-                    slot->active.store(true);
-                }
-                fn(frame);
-                bool watchdog_claimed = false;
-                if (slot) {
-                    slot->active.store(false);
-                    // Claim the frame back; losing means the
-                    // watchdog already counted it failed.
-                    watchdog_claimed = slot->claimed.exchange(true);
-                }
-                metrics.recordService(
-                    stage, secondsBetween(t0, Clock::now()));
-                if (watchdog_claimed) {
-                    // Deadline overrun: drop the frame.
-                    recycleFrame(std::move(frame));
-                    continue;
-                }
-                if (frame.failed) {
-                    metrics.recordFailed(frame.index, stage,
-                                         frame.failCode !=
-                                                 StatusCode::Ok
-                                             ? frame.failCode
-                                             : StatusCode::Internal);
-                    recycleFrame(std::move(frame));
-                    continue; // the stage surrendered the frame
-                }
-                if (out) {
-                    if (out->push(std::move(frame)) != QueuePush::Ok)
-                        break; // aborted
-                } else {
-                    metrics.recordCompleted(frame,
-                                            secondsSinceStart());
-                    if (config_.feedbackTap)
-                        config_.feedbackTap(frame);
-                    recycleFrame(std::move(frame));
-                }
-            }
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(errorMutex_);
-                if (!firstError_)
-                    firstError_ = std::current_exception();
-            }
-            abortRun();
-        }
-    }
-
-    // Last worker out closes the downstream queue so the next stage
-    // drains and terminates.
-    if (out && live_[stage]->fetch_sub(1) == 1)
-        out->close();
-}
-
-void
-StreamRunner::stageBatchLoop(std::size_t stage, std::size_t worker,
-                             WorkerSlot *slot, StreamMetrics &metrics)
-{
-    std::function<void(std::vector<StreamFrame> &)> fn;
-    try {
-        fn = stages_[stage].makeBatchWorker(worker);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(errorMutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        abortRun();
-    }
-    markWorkerReady();
-
-    Queue &in = *queues_[stage];
-    Queue *out =
-        stage + 1 < stages_.size() ? queues_[stage + 1].get() : nullptr;
-    const std::size_t max_batch = stages_[stage].maxBatch;
+    const std::size_t max_batch = spec.maxBatch;
     const auto wait = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(stages_[stage].maxBatchWaitS));
+        std::chrono::duration<double>(spec.maxBatchWaitS));
 
-    if (fn) {
+    if (serve_one || serve_batch) {
         std::vector<StreamFrame> batch;
         batch.reserve(max_batch);
         StreamFrame frame;
@@ -349,7 +266,8 @@ StreamRunner::stageBatchLoop(std::size_t stage, std::size_t worker,
                     batch.push_back(std::move(frame));
                 }
                 metrics.recordQueueDepth(stage, in.size());
-                metrics.recordBatch(stage, batch.size());
+                if (serve_batch)
+                    metrics.recordBatch(stage, batch.size());
 
                 const auto t0 = Clock::now();
                 if (slot) {
@@ -361,10 +279,15 @@ StreamRunner::stageBatchLoop(std::size_t stage, std::size_t worker,
                         t0.time_since_epoch().count());
                     slot->active.store(true);
                 }
-                fn(batch);
+                if (serve_batch)
+                    serve_batch(batch);
+                else
+                    serve_one(batch.front());
                 bool watchdog_claimed = false;
                 if (slot) {
                     slot->active.store(false);
+                    // Claim the batch back; losing means the watchdog
+                    // already counted its first frame failed.
                     watchdog_claimed = slot->claimed.exchange(true);
                 }
                 metrics.recordService(
@@ -372,7 +295,7 @@ StreamRunner::stageBatchLoop(std::size_t stage, std::size_t worker,
 
                 // Frames leave the batch individually: the pool,
                 // failure accounting and downstream hand-off see the
-                // same per-frame semantics as an unbatched stage.
+                // same per-frame semantics at any batch size.
                 bool aborted = false;
                 for (std::size_t i = 0; i < batch.size(); ++i) {
                     StreamFrame &f = batch[i];
@@ -389,6 +312,7 @@ StreamRunner::stageBatchLoop(std::size_t stage, std::size_t worker,
                         continue;
                     }
                     if (f.failed) {
+                        // The stage surrendered the frame.
                         metrics.recordFailed(
                             f.index, stage,
                             f.failCode != StatusCode::Ok
@@ -426,6 +350,8 @@ StreamRunner::stageBatchLoop(std::size_t stage, std::size_t worker,
         }
     }
 
+    // Last worker out closes the downstream queue so the next stage
+    // drains and terminates.
     if (out && live_[stage]->fetch_sub(1) == 1)
         out->close();
 }

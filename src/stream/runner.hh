@@ -238,8 +238,6 @@ class StreamRunner
     void sourceLoop(StreamMetrics &metrics);
     void stageLoop(std::size_t stage, std::size_t worker,
                    WorkerSlot *slot, StreamMetrics &metrics);
-    void stageBatchLoop(std::size_t stage, std::size_t worker,
-                        WorkerSlot *slot, StreamMetrics &metrics);
     void watchdogLoop(StreamMetrics &metrics);
 
     /**

@@ -11,13 +11,15 @@
 #include "models/partition.hh"
 #include "nn/serialize.hh"
 #include "redeye/device.hh"
-#include "system/ble.hh"
 #include "system/jetson.hh"
 
 namespace redeye {
 namespace stream {
 
 namespace {
+
+/** Base seed of the sensor stage's sampling noise. */
+constexpr std::uint64_t kSensorSeed = 0x5e9505;
 
 /** Index of the largest value in row[0..n). */
 std::int32_t
@@ -45,7 +47,7 @@ struct SensorWorker {
     std::vector<const Tensor *> ins{nullptr}; ///< persistent arg list
 
     explicit SensorWorker(const VisionConfig &cfg)
-        : layer("stream/sensor", cfg.sensor, Rng(cfg.sensorSeed))
+        : layer("stream/sensor", cfg.sensor, Rng(kSensorSeed))
     {
     }
 
@@ -236,30 +238,10 @@ struct HostWorker {
             models::digitalTailMacs(*full, analog_layers));
         const double full_macs =
             static_cast<double>(full->totalMacs());
-        switch (cfg.host) {
-          case HostTail::JetsonGpu:
-          case HostTail::JetsonCpu: {
-            sys::JetsonTk1 host(sys::JetsonParams::paper(
-                cfg.host == HostTail::JetsonGpu
-                    ? sys::JetsonProcessor::GPU
-                    : sys::JetsonProcessor::CPU,
-                full_macs, tail_macs));
-            hostEnergyJ = host.executionEnergyJ(tail_macs);
-            bypassEnergyJ = host.executionEnergyJ(full_macs);
-            break;
-          }
-          case HostTail::Cloudlet: {
-            const double payload_bytes =
-                static_cast<double>(cut.size()) * cfg.adcBits / 8.0;
-            hostEnergyJ =
-                sys::BleLink().transferEnergyJ(payload_bytes);
-            // Bypass ships raw 8-bit pixels instead of features.
-            const Shape in = full->inputShape();
-            bypassEnergyJ = sys::BleLink().transferEnergyJ(
-                static_cast<double>(in.sliceSize()));
-            break;
-          }
-        }
+        sys::JetsonTk1 host(sys::JetsonParams::paper(
+            sys::JetsonProcessor::GPU, full_macs, tail_macs));
+        hostEnergyJ = host.executionEnergyJ(tail_macs);
+        bypassEnergyJ = host.executionEnergyJ(full_macs);
 
         // Pre-warm every replica once: activation plans, arena spans
         // and GEMM pack panels all materialize here, so the first
@@ -360,20 +342,6 @@ struct HostWorker {
 };
 
 } // namespace
-
-const char *
-hostTailName(HostTail host)
-{
-    switch (host) {
-      case HostTail::JetsonGpu:
-        return "jetson-gpu";
-      case HostTail::JetsonCpu:
-        return "jetson-cpu";
-      case HostTail::Cloudlet:
-        return "cloudlet";
-    }
-    return "?";
-}
 
 std::vector<StageSpec>
 makeVisionStages(const VisionConfig &config_in)

@@ -10,7 +10,8 @@
  * analog prefix of MiniGoogLeNet through the functional ColumnArray
  * and exports the quantized cut tensor plus the realized energy; the
  * host stage classifies the features with the digital tail network
- * and prices the digital side with the Jetson/BLE system models.
+ * and prices the digital side with the Jetson TK1 GPU model
+ * (system/jetson.hh).
  *
  * Every stage worker owns private replicas (sensor layer, network,
  * per-frame device) built from the same seeds, and keys all noise by
@@ -33,16 +34,6 @@
 namespace redeye {
 namespace stream {
 
-/** Digital side of the system (pricing + tail execution host). */
-enum class HostTail {
-    JetsonGpu, ///< on-device Jetson TK1 GPU
-    JetsonCpu, ///< on-device Jetson TK1 CPU
-    Cloudlet,  ///< BLE offload (remote compute priced as free)
-};
-
-/** Name of a host tail. */
-const char *hostTailName(HostTail host);
-
 /** Configuration of the vision pipeline. */
 struct VisionConfig {
     unsigned depth = 1;        ///< MiniGoogLeNet analog depth cut
@@ -50,7 +41,6 @@ struct VisionConfig {
     double convSnrDb = 40.0;   ///< RedEye fidelity mode
     unsigned adcBits = 4;      ///< readout resolution
     unsigned weightBits = 8;   ///< kernel DAC resolution
-    HostTail host = HostTail::JetsonGpu;
 
     noise::SensorParams sensor; ///< raw sampling model
 
@@ -64,7 +54,6 @@ struct VisionConfig {
      * init. Shared read-only across workers; null = random init.
      */
     std::shared_ptr<nn::Network> weights;
-    std::uint64_t sensorSeed = 0x5e9505;   ///< sampling noise base
     std::uint64_t deviceSeed = 0xde71ce;   ///< analog noise base
 
     std::size_t sensorWorkers = 1;

@@ -15,6 +15,22 @@ namespace {
  * answer is small, this only guards pathological cost models. */
 constexpr std::size_t kMaxPolishMoves = 64;
 
+// Initial simplex steps over (snrDb, adcBits, depth).
+constexpr double kSnrStepDb = 6.0;
+constexpr double kAdcStepBits = 2.0;
+constexpr double kDepthStep = 1.0;
+
+/** Simplex iteration budget per restart, and restart count. */
+constexpr std::size_t kSimplexIterations = 96;
+constexpr std::size_t kSimplexRestarts = 2;
+
+/** Soft accuracy-floor weight in the surrogate objective. */
+constexpr double kPenaltyWeight = 2000.0;
+
+/** Relative energy saving a challenger must predict before the
+ * tuner switches a point that still meets the target. */
+constexpr double kSwitchMargin = 0.02;
+
 } // namespace
 
 std::string
@@ -62,7 +78,7 @@ AutoTuner::surrogateObjective(const OperatingPoint &op,
     const double shortfall =
         std::max(0.0, config_.targetProxy - predicted);
     return c.energyJ / ref_energy_j +
-           config_.penaltyWeight * shortfall * shortfall;
+           kPenaltyWeight * shortfall * shortfall;
 }
 
 TuneDecision
@@ -120,9 +136,9 @@ AutoTuner::step(double suspect_fraction, CostFn cost)
     // the serving lattice so the objective only ever prices points
     // that can actually compile.
     sim::SimplexOptions options;
-    options.maxIterations = config_.simplexIterations;
+    options.maxIterations = kSimplexIterations;
     options.tolerance = 1e-7;
-    options.restarts = config_.simplexRestarts;
+    options.restarts = kSimplexRestarts;
     options.xTolerance = 0.25;
     options.lower = {config_.bounds.snrLoDb,
                      static_cast<double>(config_.bounds.adcLoBits),
@@ -137,10 +153,9 @@ AutoTuner::step(double suspect_fraction, CostFn cost)
                                   ref_energy_j, &evals);
     };
 
-    sim::SimplexResult sr = sim::nelderMead(
-        objective, continuousPoint(op_),
-        {config_.snrStepDb, config_.adcStepBits, config_.depthStep},
-        options);
+    sim::SimplexResult sr =
+        sim::nelderMead(objective, continuousPoint(op_),
+                        {kSnrStepDb, kAdcStepBits, kDepthStep}, options);
 
     // Discrete polish: the simplex converges in the continuous
     // relaxation; greedy single-knob descent lands it on the
@@ -205,8 +220,7 @@ AutoTuner::step(double suspect_fraction, CostFn cost)
     const bool incumbent_misses =
         incumbent_proxy < config_.targetProxy;
     const bool challenger_saves =
-        challenger_energy <
-        (1.0 - config_.switchMargin) * incumbent_energy;
+        challenger_energy < (1.0 - kSwitchMargin) * incumbent_energy;
     if (!(best == op_) && (incumbent_misses || challenger_saves)) {
         op_ = best;
         d.switched = true;

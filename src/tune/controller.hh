@@ -25,8 +25,12 @@
  *     spent probing candidates), then a discrete neighbor descent
  *     polishes the quantized result onto its lattice optimum.
  *  5. **Hysteresis** — switch only when the incumbent misses the
- *     accuracy target or the challenger saves at least switchMargin
- *     of its energy; small predicted gains never flap the program.
+ *     accuracy target or the challenger saves at least kSwitchMargin
+ *     (2%) of its energy; small predicted gains never flap the
+ *     program.
+ *
+ * The simplex shape, iteration and restart budget, penalty weight
+ * and switch margin are fixed in controller.cc.
  *
  * Determinism: step() is a pure function of (config, accumulated
  * window, suspect fraction, cost model) — the simplex restarts are
@@ -82,20 +86,6 @@ struct AutoTuneConfig {
      * adcBoostBits) — the same struct stream::planDegradation
      * consumes. */
     stream::DegradationPolicyConfig degrade;
-
-    // Simplex shape over (snrDb, adcBits, depth).
-    double snrStepDb = 6.0;
-    double adcStepBits = 2.0;
-    double depthStep = 1.0;
-    std::size_t simplexIterations = 96;
-    std::size_t simplexRestarts = 2;
-
-    /** Soft accuracy-floor weight in the surrogate objective. */
-    double penaltyWeight = 2000.0;
-
-    /** Relative energy saving a challenger must predict before the
-     * tuner switches a point that still meets the target. */
-    double switchMargin = 0.02;
 
     /** Record the full decision trace (tests/bench; the fleet's
      * steady state leaves it off). */

@@ -6,6 +6,7 @@
 #include "nn/network.hh"
 #include "redeye/energy_model.hh"
 #include "redeye/scheduler.hh"
+#include "system/jetson.hh"
 
 namespace redeye {
 namespace tune {
@@ -70,15 +71,15 @@ OpModelCache::build(const OperatingPoint &op) const
                          .estimateFrame()
                          .energy.totalJ();
 
-    // Calibrate the host's MACs->time line once from the paper's two
-    // measured anchors (full network, depth-5 tail), then evaluate
-    // at *this* cut's tail — so moving layers into analog really
-    // shrinks the modeled digital spend, which is the whole energy
-    // argument for the depth knob.
+    // Calibrate the Jetson GPU's MACs->time line once from the
+    // paper's two measured anchors (full network, depth-5 tail), then
+    // evaluate at *this* cut's tail — so moving layers into analog
+    // really shrinks the modeled digital spend, which is the whole
+    // energy argument for the depth knob.
     const double tail_macs = static_cast<double>(
         models::digitalTailMacs(net_, analog_layers));
     sys::JetsonTk1 host(sys::JetsonParams::paper(
-        config_.host, fullMacs_, depth5TailMacs_));
+        sys::JetsonProcessor::GPU, fullMacs_, depth5TailMacs_));
     m.hostTailS = host.executionTimeS(tail_macs);
     m.hostTailJ = host.executionEnergyJ(tail_macs);
     m.hostFullS = host.executionTimeS(fullMacs_);

@@ -5,10 +5,11 @@
  * A retune changes what a frame costs: a new SNR/ADC/depth triple
  * means a different compiled program (redeye/compiler.hh), a
  * different module schedule (service time), different analog energy,
- * and — through the depth — a different digital tail. OpModelCache
- * derives all of those numbers once per distinct operating point,
- * compiling through the *shared* ProgramCache, and keeps them under
- * the operating point's stable key (operatingPointKey).
+ * and — through the depth — a different digital tail, priced on the
+ * Jetson TK1 GPU (system/jetson.hh). OpModelCache derives all of
+ * those numbers once per distinct operating point, compiling through
+ * the *shared* ProgramCache, and keeps them under the operating
+ * point's stable key (operatingPointKey).
  *
  * This is the cache re-keying half of the auto-tuner's contract: an
  * operating-point change makes the session's next lookup miss and
@@ -35,7 +36,6 @@
 
 #include "redeye/compiler.hh"
 #include "stream/degrade.hh"
-#include "system/jetson.hh"
 #include "tune/operating_point.hh"
 
 namespace redeye {
@@ -78,8 +78,6 @@ class OpModelCache
 {
   public:
     struct Config {
-        sys::JetsonProcessor host = sys::JetsonProcessor::GPU;
-
         /** Extra ADC bits of the Remap variant
          * (DegradationPolicyConfig::adcBoostBits). */
         unsigned adcBoostBits = 2;

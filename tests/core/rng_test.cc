@@ -81,6 +81,17 @@ TEST(RngTest, GaussianMomentsMatch)
     EXPECT_NEAR(stat.stddev(), 3.0, 0.1);
 }
 
+TEST(RngTest, ZeroSigmaGaussianIsTheMeanAndKeepsTheStreamAligned)
+{
+    // Noise models set a sigma of 0 to turn a source off; the draw
+    // must still be legal and consume what a unit draw consumes.
+    Rng zero(7);
+    Rng unit(7);
+    EXPECT_EQ(zero.gaussian(0.25, 0.0), 0.25);
+    (void)unit.gaussian();
+    EXPECT_EQ(zero.raw(), unit.raw());
+}
+
 TEST(RngTest, PoissonMeanMatches)
 {
     Rng rng(13);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the fleet fault-tolerance layer: chaos-schedule
- * terminality, quarantine/recovery lifecycle, error-threshold
+ * terminality, quarantine/recovery/retire lifecycle, error-threshold
  * detection, retry/hedge accounting and its session -> class ->
- * fleet aggregation, the retry-attempt bound, brownout shedding, and
- * the determinism of all of it.
+ * fleet aggregation, the retry-attempt bound and brownout band
+ * checks, brownout shedding, and the determinism of all of it.
  */
 
 #include <array>
@@ -347,6 +347,47 @@ TEST(FaultToleranceTest, RejectsMaxAttemptsOutsideOneToFour)
     cfg.qos[classIndex(TrafficClass::BestEffort)].maxAttempts = 0;
     EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
                 "maxAttempts");
+}
+
+TEST(FaultToleranceTest, RejectsBrownoutLowAtOrAboveHigh)
+{
+    // An inverted band flips the level 2 -> 1 -> 2 on every sweep
+    // whenever demand sits between the two ratios.
+    FleetConfig cfg = chaosFleet();
+    cfg.ft.brownoutHigh = 0.5;
+    cfg.ft.brownoutLow = 0.8;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "brownoutLow.*brownoutHigh");
+    cfg.ft.brownoutLow = 0.5;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "brownoutLow.*brownoutHigh");
+}
+
+TEST(FaultToleranceTest, DeviceKilledOutrightIsRetired)
+{
+    // Every column of device 0 dies and nothing recovers it: once
+    // quarantined, its reprobe flags a suspect fraction of 1, past
+    // the retire threshold, and the device leaves service for good.
+    FleetConfig cfg = chaosFleet();
+    cfg.chaos.resize(1);
+    cfg.chaos[0].deadFraction = 1.0;
+
+    FleetEngine engine(cfg);
+    const FleetReport r = engine.run();
+
+    EXPECT_GE(r.quarantines, 1u);
+    EXPECT_EQ(r.devicesRetired, 1u);
+    EXPECT_EQ(r.devicesQuarantined, 0u);
+    EXPECT_EQ(r.devicesActive, cfg.pool.devices - 1);
+    EXPECT_EQ(engine.pool().device(0).lifecycle,
+              DeviceLifecycle::Retired);
+    EXPECT_EQ(r.recoveries, 0u);
+
+    EXPECT_EQ(r.offered, r.admitted + r.dropped);
+    EXPECT_EQ(r.admitted, r.completed + r.shed);
+    EXPECT_EQ(r.shed, r.shedDeadline + r.shedUnavailable +
+                          r.shedResource + r.shedBrownout);
+    expectCountsAggregate(engine, r);
 }
 
 TEST(FaultToleranceTest, OnsetHorizonFaultsAreCaughtMidRun)
