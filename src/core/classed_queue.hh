@@ -269,7 +269,6 @@ class ClassedQueue
                 out = dequeueClass(c);
                 ++counters_[c].popped;
                 cls = c;
-                notFullMaybeNotify();
                 return;
             }
             for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -280,9 +279,6 @@ class ClassedQueue
             }
         }
     }
-
-    /** Hook kept for symmetry; admission never blocks on Full. */
-    void notFullMaybeNotify() {}
 
     const std::size_t capacity_;
     std::vector<ClassedQueueClass> classes_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * DevicePool: the shared analog/digital serving capacity of a fleet.
+ * DevicePool: the shared analog/digital serving capacity of a fleet,
+ * and the owner of every device's health lifecycle.
  *
  * The pool owns N simulated RedEye devices and M host (digital tail)
  * workers. Each device carries its own silicon health: at pool
@@ -17,12 +18,16 @@
  * Bypass device is past saving — it only routes frames, pushing the
  * whole network onto the host tier.
  *
- * Lifecycle (fault-tolerance layer, DESIGN.md §13): each device is
- * Active, Quarantined, or Retired. Only Active devices are leasable.
- * Quarantine never interrupts a lease — the current lease drains and
- * release simply does not return the slot to the idle set. The
- * FleetEngine drives transitions (probe sweeps, error thresholds,
- * reprobe backoff); the pool enforces the leasing invariants.
+ * Health lifecycle (fault-tolerance layer, DESIGN.md §13): each
+ * device is Active, Quarantined, or Retired, and only Active devices
+ * are leasable. The pool holds the whole policy — the probe-score
+ * EWMA, the quarantine, error and retire thresholds, the reprobe
+ * backoff, the failure model and the re-plan through the plan cache
+ * (named constants in device_pool.cc). Its caller decides only
+ * *when*: it runs sweep() on its probe cadence, reports serve errors,
+ * and calls reprobe() once reprobeDelayS() has elapsed. Quarantine
+ * never interrupts a lease — the current lease drains and release
+ * simply does not return the slot to the idle set.
  *
  * Leasing: the scheduler leases one device (or host worker) per
  * frame and releases it at completion. Leases prefer the healthiest
@@ -46,6 +51,7 @@
 #include "fault/fault_model.hh"
 #include "redeye/column.hh"
 #include "stream/degrade.hh"
+#include "stream/probe.hh"
 
 namespace redeye {
 namespace fleet {
@@ -84,7 +90,8 @@ struct DevicePoolConfig {
     /** Array the devices instantiate (probe target). */
     arch::ColumnArrayConfig array;
 
-    /** Degradation policy applied per device. */
+    /** Degradation policy applied per device (the pool always
+     * plans, so its `enabled` switch is ignored). */
     stream::DegradationPolicyConfig degrade;
 };
 
@@ -107,7 +114,7 @@ struct DeviceSlot {
 
     /**
      * The device's realized fault campaign (null = pristine). The
-     * engine probes against it with the device's served-frame clock
+     * pool probes against it with the device's served-frame clock
      * so onset-horizon faults fire mid-run; chaos schedules swap it.
      */
     std::shared_ptr<const fault::FaultModel> faults;
@@ -122,7 +129,6 @@ struct DeviceSlot {
     std::uint64_t recoveries = 0;
 
     bool busy = false;
-    std::uint64_t leasedTo = 0; ///< session id of the current lease
 
     std::uint64_t framesServed = 0;
     double busyS = 0.0;   ///< accumulated service time
@@ -133,9 +139,15 @@ struct DeviceSlot {
 struct HostSlot {
     std::size_t id = 0;
     bool busy = false;
-    std::uint64_t leasedTo = 0;
     std::uint64_t framesServed = 0;
     double busyS = 0.0;
+};
+
+/** What a quarantined device's reprobe decided. */
+enum class ReprobeOutcome : std::uint8_t {
+    Retired,    ///< past saving: permanently out of service
+    Waiting,    ///< health still recovering: reprobe again later
+    Readmitted, ///< Active again under a plan around its suspects
 };
 
 /** Shared pool of simulated devices and host workers. */
@@ -157,11 +169,11 @@ class DevicePool
     bool hasIdleHost() const { return idleHosts_ > 0; }
 
     /**
-     * Lease the healthiest idle Active device to @p session, skipping
-     * @p exclude (a device a previous attempt failed on; -1 = none).
-     * Returns the device index, or -1 when none qualifies.
+     * Lease the healthiest idle Active device, skipping @p exclude (a
+     * device a previous attempt failed on; -1 = none). Returns the
+     * device index, or -1 when none qualifies.
      */
-    int leaseDevice(std::uint64_t session, int exclude = -1);
+    int leaseDevice(int exclude = -1);
 
     /** Return device @p index, accounting its service. A device
      * quarantined or retired mid-lease drains here: it is not
@@ -170,7 +182,7 @@ class DevicePool
                        double energy_j);
 
     /** Lease an idle host worker (lowest index), or -1. */
-    int leaseHost(std::uint64_t session);
+    int leaseHost();
 
     /** Return host worker @p index, accounting its service. */
     void releaseHost(std::size_t index, double busy_s);
@@ -181,41 +193,74 @@ class DevicePool
     const DeviceSlot &device(std::size_t i) const;
     const HostSlot &host(std::size_t i) const;
 
-    // ---- Lifecycle transitions (engine-driven) ----
+    /** The pool's configuration. */
+    const DevicePoolConfig &config() const { return config_; }
 
-    /** Active -> Quarantined: stop leasing; the current lease (if
-     * any) drains. Resets the serve-error and reprobe counters. */
-    void quarantineDevice(std::size_t index);
-
-    /** Quarantined (or Active) -> Retired, permanently. */
-    void retireDevice(std::size_t index);
+    // ---- Health lifecycle ----
 
     /**
-     * (Re-)admit device @p index as Active under @p plan with
-     * realized severity @p dead_fraction — the reprobe path back
-     * from quarantine, and the in-place upgrade path when a sweep
-     * finds a recovered device. Counts a recovery only when leaving
-     * quarantine.
+     * Probe device @p index against its realized faults at its
+     * served-frame clock and fold the score into its health EWMA.
+     * Quarantines the device when the probe finds suspects its plan
+     * does not cover and the EWMA fell below the quarantine bar;
+     * re-plans a degraded device that probes clean with no serve
+     * errors since its last plan back to health. Devices that are not
+     * Active are skipped. Returns true when the sweep quarantined the
+     * device.
      */
-    void reactivateDevice(std::size_t index,
-                          const stream::DegradePlan &plan,
-                          double dead_fraction);
+    bool sweep(std::size_t index);
+
+    /**
+     * Count one serving error against device @p index. The error that
+     * reaches the threshold since the last (re)plan quarantines an
+     * Active device without waiting for a sweep; returns true when
+     * this error did.
+     */
+    bool recordServeError(std::size_t index);
+
+    /**
+     * Recheck quarantined device @p index: retire it when its probe
+     * is (nearly) all suspects or its reprobes ran out; readmit it
+     * Active under a plan around everything the probe sees once its
+     * health EWMA recovers past the quarantine bar; otherwise leave
+     * it Waiting for reprobeDelayS().
+     */
+    ReprobeOutcome reprobe(std::size_t index);
+
+    /** Delay until device @p index's next reprobe: exponential
+     * backoff over the reprobes of its current quarantine. */
+    double reprobeDelayS(std::size_t index) const;
+
+    /**
+     * Probability that an attempt on device @p index fails: grows
+     * with the share of its live dead columns that its plan does not
+     * route around, and is 0 when the plan covers them all.
+     */
+    double failureProbability(std::size_t index) const;
+
+    /**
+     * Mean dead-column exposure (plan-covered plus undetected) over
+     * the Active devices: the fault context a tuner folds into its
+     * mode choice. A pool with nothing Active reads as fully suspect.
+     */
+    double suspectFraction() const;
+
+    /**
+     * Healthy serving capacity in frames/s: each Active device
+     * serves at 1/@p device_s, stretched by its dead share when
+     * Remapped; a Bypass device only routes, so it counts at the
+     * full-network host rate 1/@p host_full_s.
+     */
+    double capacityFps(double device_s, double host_full_s) const;
+
+    /** Devices currently Active. */
+    std::size_t activeDevices() const { return activeDevices_; }
 
     /** Swap the device's fault campaign (chaos kill/recover). Does
      * not touch the serving plan — detection is the runtime's job. */
     void setDeviceFaults(
         std::size_t index,
         std::shared_ptr<const fault::FaultModel> faults);
-
-    /** Count one serving error against the device; returns the
-     * errors accumulated since the last (re)plan. */
-    std::uint64_t recordServeError(std::size_t index);
-
-    /** Update the probe-sweep EWMA health score. */
-    void setHealthScore(std::size_t index, double ewma);
-
-    /** Bump and return the quarantine reprobe attempt counter. */
-    std::uint64_t bumpReprobeAttempt(std::size_t index);
 
     /** Devices currently in a given health state. */
     std::size_t healthCount(stream::DegradeMode mode) const;
@@ -243,10 +288,29 @@ class DevicePool
     }
 
   private:
+    DeviceSlot &at(std::size_t index); ///< bounds-checked
+
+    /** Probe device @p index at its served-frame clock. */
+    stream::ProbeReport probe(std::size_t index) const;
+
+    /** Plan device @p index around @p probe through the plan cache,
+     * keyed by @p epoch, and serve it under that plan. */
+    void plan(std::size_t index, std::uint64_t epoch,
+              const stream::ProbeReport &probe);
+
+    /** Re-plan device @p index around @p probe at a fresh epoch and
+     * (re-)admit it Active at the probe's suspect severity. */
+    void replan(std::size_t index, const stream::ProbeReport &probe);
+
+    /** Active -> Quarantined: stop leasing, halve the health EWMA. */
+    void quarantine(std::size_t index);
+
+    DevicePoolConfig config_;
     std::vector<DeviceSlot> devices_;
     std::vector<HostSlot> hosts_;
     std::size_t idleDevices_ = 0; ///< Active and not busy
     std::size_t idleHosts_ = 0;
+    std::size_t activeDevices_ = 0;
     std::shared_ptr<stream::DegradePlanCache> planCache_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "core/alloc.hh"
@@ -14,7 +13,6 @@
 #include "redeye/energy_model.hh"
 #include "redeye/scheduler.hh"
 #include "stream/frame_source.hh"
-#include "stream/probe.hh"
 #include "stream/vision.hh"
 #include "system/jetson.hh"
 
@@ -48,34 +46,8 @@ constexpr double kServiceJitterSigma = 0.1;
  * observations fed to the tuner. */
 constexpr double kTuneObservationNoise = 0.02;
 
-// Fault-tolerance policy (DESIGN.md §13).
-
-/** EWMA weight of the newest probe score. */
-constexpr double kHealthAlpha = 0.5;
-
-/** Quarantine a device whose probe found uncovered suspects and
- * whose EWMA health dropped below this; a reprobed device is
- * re-admitted once its EWMA climbs back to it. */
-constexpr double kQuarantineEwma = 0.9;
-
-/** Serving errors since the last (re)plan that force quarantine
- * without waiting for a sweep. */
-constexpr std::uint64_t kErrorThreshold = 3;
-
-/** An attempt on a device with undetected dead-column fraction u
- * fails with probability min(1, kFailureSensitivity * u). */
-constexpr double kFailureSensitivity = 1.0;
-
-/** Reprobe schedule of a quarantined device. Zero jitter makes the
- * delay ignore its uniform draw, so reprobes pass 0 for it. */
-constexpr BackoffConfig kReprobeBackoff{0.05, 2.0, 1.0, 0.0};
-
-/** Reprobes before a quarantined device is retired. */
-constexpr std::uint64_t kMaxReprobes = 8;
-
-/** Probe suspect fraction at or above which a reprobed device is
- * retired outright instead of re-admitted. */
-constexpr double kRetireSuspectFraction = 0.97;
+// Request policy of the fault-tolerance layer (DESIGN.md §13); the
+// device-health policy lives in device_pool.cc.
 
 /** Backoff between retry attempts; the jitter draw comes from the
  * request's counter stream. */
@@ -123,14 +95,6 @@ poolConfigFor(const FleetConfig &config)
     return pool;
 }
 
-/** Share of the array's columns a calibration probe flagged. */
-double
-suspectFraction(const stream::ProbeReport &report)
-{
-    return static_cast<double>(report.suspectColumns.size()) /
-           static_cast<double>(models::kMiniInputSize);
-}
-
 /** Content frame index: pure function of (session seed, frame). */
 std::uint64_t
 contentKey(std::uint64_t session_seed, std::uint64_t frame)
@@ -155,7 +119,7 @@ failItem(std::uint64_t frame, std::uint8_t attempt, std::uint8_t leg)
 FleetEngine::FleetEngine(const FleetConfig &config)
     : config_(config),
       programCache_(std::make_shared<arch::ProgramCache>()),
-      db_(std::max<std::size_t>(1, config.sessions)),
+      db_(config.sessions),
       pool_(poolConfigFor(config)),
       deviceQueue_(std::max<std::size_t>(1, config.queueCapacity),
                    queueClasses(config.qos, config.queueCapacity)),
@@ -178,6 +142,16 @@ FleetEngine::FleetEngine(const FleetConfig &config)
              "ft.brownoutLow (", config_.ft.brownoutLow,
              ") must be below ft.brownoutHigh (",
              config_.ft.brownoutHigh, ")");
+    // Negative periods would silently switch sweeps or windows off,
+    // and a tuner without a step period would observe but never step.
+    fatal_if(config_.ft.probePeriodS < 0.0,
+             "ft.probePeriodS must be non-negative, got ",
+             config_.ft.probePeriodS);
+    fatal_if(config_.windowS < 0.0,
+             "windowS must be non-negative, got ", config_.windowS);
+    fatal_if(config_.tune.enabled && config_.tune.windowS <= 0.0,
+             "tune.windowS must be positive with the tuner enabled, got ",
+             config_.tune.windowS);
 
     // Every class serves the same trained topology; only the
     // operating point differs, so the shared ProgramCache keys
@@ -317,7 +291,7 @@ void
 FleetEngine::admitSessions()
 {
     for (std::size_t i = 0; i < config_.sessions; ++i) {
-        const std::uint64_t id = i + 1; // 0 = "no lease" sentinel
+        const std::uint64_t id = i + 1; // SessionDb ids start at 1
 
         // Class draw against the cumulative mix; the remainder of the
         // unit interval falls through to the last class.
@@ -339,7 +313,6 @@ FleetEngine::admitSessions()
         s.seed = splitmix64(config_.seed ^ splitmix64(id));
         s.arrivals = stream::ArrivalSchedule::poisson(
             config_.sessionRateHz, s.seed);
-        s.framesToOffer = config_.framesPerSession;
 
         // Re-deriving the program per session is the content-address
         // demonstration: one compile per class, N-1 cache hits.
@@ -350,7 +323,6 @@ FleetEngine::admitSessions()
         s.program = std::move(prog.value());
 
         if (id <= config_.contentSessions) {
-            s.recordPredictions = true;
             s.predictions.assign(config_.framesPerSession, -1);
             s.completedMask.assign(config_.framesPerSession, 0);
         }
@@ -364,14 +336,11 @@ FleetEngine::admitSessions()
             s.tuner = std::make_unique<tune::AutoTuner>(tc);
         }
 
-        fatal_if(db_.admit(std::move(s)) == nullptr,
-                 "session admission failed for id ", id);
-
         Event arrival;
         arrival.kind = Event::Kind::Arrival;
         arrival.qf.session = id;
         arrival.qf.frame = 0;
-        arrival.timeS = db_.find(id)->arrivals.interarrivalS(0);
+        arrival.timeS = db_.admit(std::move(s)).arrivals.interarrivalS(0);
         schedule(std::move(arrival));
     }
 
@@ -389,7 +358,7 @@ FleetEngine::admitSessions()
             scheduleRecurring(Event::Kind::ProbeSweep,
                               config_.ft.probePeriodS);
     }
-    if (config_.tune.enabled && config_.tune.windowS > 0.0)
+    if (config_.tune.enabled)
         scheduleRecurring(Event::Kind::TuneStep, config_.tune.windowS);
 }
 
@@ -418,7 +387,7 @@ FleetEngine::windowAt(double time_s)
     idx = std::min(idx, windows_.size() - 1);
     FleetWindow &w = windows_[idx];
     w.activeDevicesMin =
-        std::min(w.activeDevicesMin, activeDevices_);
+        std::min(w.activeDevicesMin, pool_.activeDevices());
     w.brownoutLevel = std::max(w.brownoutLevel, brownoutLevel_);
     windowHighWater_ = std::max(windowHighWater_, idx + 1);
     return &w;
@@ -498,26 +467,6 @@ FleetEngine::otherLiveLeg(const RequestRecord &rec,
     return false;
 }
 
-double
-FleetEngine::undetectedDeadFraction(const DeviceSlot &slot) const
-{
-    // How much of the device's *currently active* fault set the
-    // serving plan does not route around. The plan's suspect list is
-    // what the last probe saw; columns whose onset fired since then
-    // are invisible to it and corrupt frames. Suspect identity is
-    // counted, not matched per column — adequate for a
-    // failure-probability model.
-    if (!slot.faults)
-        return 0.0;
-    const std::size_t active =
-        slot.faults->deadColumnCount(slot.framesServed);
-    const std::size_t covered = slot.plan.suspectColumns.size();
-    if (active <= covered)
-        return 0.0;
-    return static_cast<double>(active - covered) /
-           static_cast<double>(slot.faults->columns());
-}
-
 void
 FleetEngine::onArrival(const Event &event)
 {
@@ -527,7 +476,7 @@ FleetEngine::onArrival(const Event &event)
     ++s->stats.offered;
     s->lastActiveS = now;
 
-    if (event.qf.frame + 1 < s->framesToOffer) {
+    if (event.qf.frame + 1 < config_.framesPerSession) {
         Event next;
         next.kind = Event::Kind::Arrival;
         next.qf.session = s->id;
@@ -590,9 +539,9 @@ FleetEngine::dispatchDevices(double now_s)
 
         // A retry avoids the device that failed it, unless that is
         // the only idle one: taking it beats stalling the request.
-        int dev = pool_.leaseDevice(qf.session, qf.avoidDevice);
+        int dev = pool_.leaseDevice(qf.avoidDevice);
         if (dev < 0)
-            dev = pool_.leaseDevice(qf.session);
+            dev = pool_.leaseDevice();
 
         const int rec_i = allocRecord();
         RequestRecord &rec = records_[static_cast<std::size_t>(rec_i)];
@@ -700,14 +649,12 @@ FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
     // touch the array and never fail.
     bool will_fail = false;
     if (ftOn() && !qf.bypass) {
-        const double undetected = undetectedDeadFraction(slot);
-        if (undetected > 0.0) {
-            const double p =
-                std::min(1.0, kFailureSensitivity * undetected);
+        const double p =
+            pool_.failureProbability(static_cast<std::size_t>(device));
+        if (p > 0.0)
             will_fail = streamRng(s->seed, kFailPass,
                                   failItem(qf.frame, qf.attempt, leg))
                             .uniform() < p;
-        }
     }
     rec.legs[leg] = RequestLeg{device, false, false, will_fail};
     rec.legCount = leg + 1;
@@ -756,10 +703,8 @@ FleetEngine::onDeviceDone(const Event &event)
         leg.dead = true;
         const std::size_t dev =
             static_cast<std::size_t>(event.resource);
-        const std::uint64_t errs = pool_.recordServeError(dev);
-        if (errs >= kErrorThreshold &&
-            pool_.device(dev).lifecycle == DeviceLifecycle::Active)
-            quarantine(dev, now);
+        if (pool_.recordServeError(dev))
+            onQuarantine(dev, now);
         if (!otherLiveLeg(rec, event.leg))
             maybeRetry(rec, static_cast<int>(dev), now,
                        StatusCode::Unavailable);
@@ -886,8 +831,7 @@ FleetEngine::onHedgeFire(const Event &event)
     // Hedge on a *different* device — duplicating onto the same
     // (possibly sick) device defeats the point. No fallback: when
     // only the primary's device is idle, skip.
-    const int dev =
-        pool_.leaseDevice(rec.qf.session, primary.device);
+    const int dev = pool_.leaseDevice(primary.device);
     if (dev < 0) {
         ++hedgeSkipped_;
         return;
@@ -899,98 +843,20 @@ FleetEngine::onHedgeFire(const Event &event)
 }
 
 void
-FleetEngine::quarantine(std::size_t device, double now_s)
+FleetEngine::onQuarantine(std::size_t device, double now_s)
 {
-    // Entering quarantine costs health: the EWMA must climb back
-    // over the re-admission bar through successive clean reprobes,
-    // which realizes the backoff ladder (see onReprobe).
-    pool_.setHealthScore(device,
-                         pool_.device(device).healthEwma * 0.5);
-    pool_.quarantineDevice(device);
-    fatal_if(activeDevices_ == 0, "active device count underflow");
-    --activeDevices_;
     windowAt(now_s); // fold the active-device low-water
+    scheduleReprobe(device, now_s);
+}
 
+void
+FleetEngine::scheduleReprobe(std::size_t device, double now_s)
+{
     Event r;
     r.kind = Event::Kind::Reprobe;
-    r.timeS = now_s + backoffDelayS(kReprobeBackoff, 0, 0.0);
+    r.timeS = now_s + pool_.reprobeDelayS(device);
     r.resource = static_cast<int>(device);
     schedule(std::move(r));
-}
-
-stream::ProbeReport
-FleetEngine::probe(std::size_t device) const
-{
-    const DeviceSlot &slot = pool_.device(device);
-    return stream::runCalibrationProbe(poolConfigFor(config_).array,
-                                       slot.faults.get(),
-                                       slot.framesServed);
-}
-
-void
-FleetEngine::replan(std::size_t device,
-                    const stream::ProbeReport &report)
-{
-    // Plan around everything the probe sees, published under a
-    // fresh plan-cache epoch so a stale plan never resurrects, and
-    // serve it Active at the probe's suspect severity.
-    const DevicePoolConfig pcfg = poolConfigFor(config_);
-    stream::DegradationPolicyConfig policy = pcfg.degrade;
-    policy.enabled = true;
-    const std::uint64_t epoch =
-        device +
-        pool_.devices() * (pool_.device(device).planGeneration + 1);
-    const stream::DegradePlan plan = pool_.planCache()->fetch(
-        stream::degradePlanKey(epoch, pcfg.array, policy), [&]() {
-            return stream::planDegradation(report, pcfg.array, policy);
-        });
-    pool_.reactivateDevice(device, plan, suspectFraction(report));
-}
-
-void
-FleetEngine::probeDevice(std::size_t device, double now_s)
-{
-    const DeviceSlot &slot = pool_.device(device);
-    const stream::ProbeReport report = probe(device);
-
-    // Suspects the current plan does not cover (both lists are
-    // ascending: one merge walk).
-    std::size_t uncovered = 0;
-    {
-        const auto &found = report.suspectColumns;
-        const auto &covered = slot.plan.suspectColumns;
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < found.size()) {
-            if (j < covered.size() && covered[j] < found[i]) {
-                ++j;
-            } else if (j < covered.size() &&
-                       covered[j] == found[i]) {
-                ++i;
-                ++j;
-            } else {
-                ++uncovered;
-                ++i;
-            }
-        }
-    }
-
-    const double score =
-        1.0 - static_cast<double>(uncovered) /
-                  static_cast<double>(models::kMiniInputSize);
-    const double ewma =
-        kHealthAlpha * score + (1.0 - kHealthAlpha) * slot.healthEwma;
-    pool_.setHealthScore(device, ewma);
-
-    if (uncovered > 0 && ewma < kQuarantineEwma) {
-        quarantine(device, now_s);
-    } else if (!report.anySuspect() &&
-               slot.plan.mode != stream::DegradeMode::Normal &&
-               slot.serveErrors == 0) {
-        // Clean probe on a degraded plan: the silicon recovered
-        // (chaos Recover cleared its faults). Re-plan it healthy.
-        replan(device, report);
-    }
 }
 
 void
@@ -1005,28 +871,9 @@ FleetEngine::evaluateBrownout(double now_s)
                          ? inst
                          : 0.5 * inst + 0.5 * demandEwmaFps_;
 
-    // Healthy-capacity heuristic: each Active device contributes its
-    // service rate under the traffic-mix-weighted frame time; a
-    // Bypass device only routes, so its frames land on the host tier
-    // and it contributes at the full-network host rate instead.
-    double capacity_fps = 0.0;
-    for (std::size_t i = 0; i < pool_.devices(); ++i) {
-        const DeviceSlot &slot = pool_.device(i);
-        if (slot.lifecycle != DeviceLifecycle::Active)
-            continue;
-        switch (slot.health) {
-          case stream::DegradeMode::Normal:
-            capacity_fps += 1.0 / mixServiceS_;
-            break;
-          case stream::DegradeMode::Remap:
-            capacity_fps +=
-                (1.0 - slot.deadColumnFraction) / mixServiceS_;
-            break;
-          case stream::DegradeMode::Bypass:
-            capacity_fps += 1.0 / mixHostFullS_;
-            break;
-        }
-    }
+    // Healthy capacity under the traffic-mix-weighted frame times.
+    double capacity_fps =
+        pool_.capacityFps(mixServiceS_, mixHostFullS_);
     if (capacity_fps <= 0.0)
         capacity_fps = 1e-9;
 
@@ -1052,8 +899,8 @@ FleetEngine::onProbeSweep(const Event &event)
     ++probeSweeps_;
 
     for (std::size_t i = 0; i < pool_.devices(); ++i) {
-        if (pool_.device(i).lifecycle == DeviceLifecycle::Active)
-            probeDevice(i, now);
+        if (pool_.sweep(i))
+            onQuarantine(i, now);
     }
 
     evaluateBrownout(now);
@@ -1071,48 +918,15 @@ FleetEngine::onReprobe(const Event &event)
 {
     alloc::AllocationMeter meter;
     const double now = event.timeS;
-    const std::size_t device =
-        static_cast<std::size_t>(event.resource);
-    const DeviceSlot &slot = pool_.device(device);
-    if (slot.lifecycle != DeviceLifecycle::Quarantined) {
-        controlPlaneAllocs_ += meter.delta();
-        return; // retired meanwhile; stale timer
-    }
-
-    const std::uint64_t attempts =
-        pool_.bumpReprobeAttempt(device);
-    const stream::ProbeReport report = probe(device);
-
-    // A reprobe plans around everything it currently sees, so the
-    // probe-vs-plan score is clean by construction; health recovers
-    // geometrically toward 1 and the device is re-admitted once it
-    // clears the quarantine bar again. Until then: another reprobe,
-    // further out on the backoff schedule.
-    const double ewma =
-        kHealthAlpha * 1.0 + (1.0 - kHealthAlpha) * slot.healthEwma;
-    bool readmitted = false;
-    if (suspectFraction(report) >= kRetireSuspectFraction ||
-        attempts > kMaxReprobes) {
-        pool_.retireDevice(device);
+    const auto device = static_cast<std::size_t>(event.resource);
+    const ReprobeOutcome outcome = pool_.reprobe(device);
+    if (outcome == ReprobeOutcome::Waiting)
+        scheduleReprobe(device, now);
+    else
         windowAt(now); // fold the active-device low-water
-    } else if (ewma < kQuarantineEwma) {
-        pool_.setHealthScore(device, ewma);
-        Event r;
-        r.kind = Event::Kind::Reprobe;
-        r.timeS = now + backoffDelayS(kReprobeBackoff,
-                                      static_cast<unsigned>(attempts),
-                                      0.0);
-        r.resource = static_cast<int>(device);
-        schedule(std::move(r));
-    } else {
-        replan(device, report); // resets health to 1
-        ++activeDevices_;
-        windowAt(now);
-        readmitted = true;
-    }
     controlPlaneAllocs_ += meter.delta();
 
-    if (readmitted)
+    if (outcome == ReprobeOutcome::Readmitted)
         dispatchDevices(now);
 }
 
@@ -1124,7 +938,6 @@ FleetEngine::onChaos(const Event &event)
         config_.chaos[static_cast<std::size_t>(event.resource)];
     if (ce.kind == ChaosEvent::Kind::Kill) {
         ++chaosKills_;
-        const DevicePoolConfig pcfg = poolConfigFor(config_);
         const fault::FaultCampaign campaign =
             fault::FaultCampaign::deadColumns(
                 ce.deadFraction,
@@ -1138,7 +951,7 @@ FleetEngine::onChaos(const Event &event)
         pool_.setDeviceFaults(
             ce.device,
             std::make_shared<const fault::FaultModel>(
-                campaign, pcfg.array.columns));
+                campaign, pool_.config().array.columns));
     } else {
         ++chaosRecovers_;
         pool_.setDeviceFaults(ce.device, nullptr);
@@ -1146,27 +959,6 @@ FleetEngine::onChaos(const Event &event)
         // array; an active one is upgraded by the next sweep.
     }
     controlPlaneAllocs_ += meter.delta();
-}
-
-double
-FleetEngine::poolSuspectFraction() const
-{
-    // The fault context the controllers fold into their mode choice:
-    // mean dead-column exposure — plan-covered plus undetected — over
-    // the devices still serving. Quarantined and retired devices
-    // serve no frames, so they don't shape the mode; a pool with
-    // nothing Active reads as fully suspect (Bypass).
-    double sum = 0.0;
-    std::size_t active = 0;
-    for (std::size_t i = 0; i < pool_.devices(); ++i) {
-        const DeviceSlot &slot = pool_.device(i);
-        if (slot.lifecycle != DeviceLifecycle::Active)
-            continue;
-        ++active;
-        sum += std::min(1.0, slot.deadColumnFraction +
-                                 undetectedDeadFraction(slot));
-    }
-    return active ? sum / static_cast<double>(active) : 1.0;
 }
 
 void
@@ -1180,7 +972,7 @@ FleetEngine::onTuneStep(const Event &event)
     --recurringPending_; // this step left the heap
     ++tuneSteps_;
 
-    const double suspect = poolSuspectFraction();
+    const double suspect = pool_.suspectFraction();
     const auto cost = [this](const tune::OperatingPoint &op,
                              stream::DegradeMode mode) {
         return opModels_->costFor(op, mode);
@@ -1229,7 +1021,7 @@ FleetEngine::dispatchHosts(double now_s)
             continue;
         }
 
-        const int host = pool_.leaseHost(qf.session);
+        const int host = pool_.leaseHost();
         const tune::OpModel &m = servingFor(*s);
 
         const double service =
@@ -1279,8 +1071,7 @@ FleetEngine::onHostDone(const Event &event)
     s->lastActiveS = now;
     lastCompletionS_ = std::max(lastCompletionS_, now);
 
-    if (s->recordPredictions &&
-        event.qf.frame < s->completedMask.size())
+    if (event.qf.frame < s->completedMask.size())
         s->completedMask[event.qf.frame] = 1;
 
     if (s->tuner) {
@@ -1331,122 +1122,44 @@ FleetEngine::runContentPass()
     if (config_.contentSessions == 0)
         return;
 
-    // Completed frames of flagged sessions, grouped per class so one
-    // pipeline (one operating point) serves each group.
+    // Completed frames of content sessions, grouped per class so one
+    // operating point serves each group; a frame's content key is a
+    // pure function of (session seed, frame).
     struct Item {
         Session *session;
         std::uint64_t frame;
     };
     std::array<std::vector<Item>, kTrafficClasses> items;
-    for (std::uint64_t id = 1;
-         id <= config_.contentSessions && id <= config_.sessions;
-         ++id) {
+    std::array<std::vector<std::uint64_t>, kTrafficClasses> keys;
+    const std::uint64_t last =
+        std::min<std::uint64_t>(config_.contentSessions, config_.sessions);
+    for (std::uint64_t id = 1; id <= last; ++id) {
         Session *s = db_.find(id);
-        if (s == nullptr || !s->recordPredictions)
-            continue;
+        const std::size_t c = classIndex(s->cls);
         for (std::uint64_t f = 0; f < s->completedMask.size(); ++f) {
-            if (s->completedMask[f])
-                items[classIndex(s->cls)].push_back(Item{s, f});
+            if (s->completedMask[f]) {
+                items[c].push_back(Item{s, f});
+                keys[c].push_back(contentKey(s->seed, f));
+            }
         }
     }
 
     const data::Dataset dataset = stream::makeReplayDataset(
         kContentPerClass, splitmix64(config_.seed ^ 0xda7a));
-    const std::size_t threads =
-        std::max<std::size_t>(1, config_.contentThreads);
-
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
         if (items[c].empty())
             continue;
         const QosClassConfig &q = config_.qos[c];
-
-        const std::size_t host_batch =
-            std::max<std::size_t>(1, config_.contentBatch);
-
         stream::VisionConfig vc;
         vc.depth = q.depth;
         vc.convSnrDb = q.convSnrDb;
         vc.adcBits = q.adcBits;
-        vc.hostBatch = host_batch;
-        const std::vector<stream::StageSpec> stages =
-            stream::makeVisionStages(vc);
-        fatal_if(stages.size() != 3, "unexpected vision stage count");
-
-        const std::vector<Item> &work = items[c];
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-            pool.emplace_back([&, t]() {
-                // Worker replicas key all noise by frame index, so
-                // any thread computes identical content for an item
-                // (the streaming determinism contract, DESIGN.md §7).
-                stream::ShapesReplaySource source(dataset);
-                auto sensor = stages[0].makeWorker(t);
-                auto device = stages[1].makeWorker(t);
-                // The host tail is served through the same dynamic
-                // batching path the streaming runtime uses: frames
-                // that survive sensor+device accumulate into a block
-                // and one batched tail forward classifies them all.
-                // With contentBatch == 1 this degenerates to the
-                // historical per-frame calls.
-                auto host_one = stages[2].makeWorker
-                                    ? stages[2].makeWorker(t)
-                                    : nullptr;
-                auto host_many = stages[2].makeBatchWorker
-                                     ? stages[2].makeBatchWorker(t)
-                                     : nullptr;
-
-                std::vector<stream::StreamFrame> block;
-                std::vector<const Item *> block_items;
-                block.reserve(host_batch);
-                block_items.reserve(host_batch);
-                auto flush = [&]() {
-                    if (block.empty())
-                        return;
-                    host_many(block);
-                    for (std::size_t j = 0; j < block.size(); ++j) {
-                        block_items[j]
-                            ->session->predictions[block_items[j]
-                                                       ->frame] =
-                            block[j].failed ? -1
-                                            : block[j].predicted;
-                    }
-                    block.clear();
-                    block_items.clear();
-                };
-
-                stream::StreamFrame frame;
-                for (std::size_t i = t; i < work.size();
-                     i += threads) {
-                    const Item &item = work[i];
-                    source.fill(contentKey(item.session->seed,
-                                           item.frame),
-                                frame);
-                    sensor(frame);
-                    if (!frame.failed)
-                        device(frame);
-                    if (frame.failed) {
-                        item.session->predictions[item.frame] = -1;
-                        frame.failed = false;
-                        continue;
-                    }
-                    if (host_many) {
-                        block_items.push_back(&item);
-                        block.push_back(std::move(frame));
-                        if (block.size() == host_batch)
-                            flush();
-                        continue;
-                    }
-                    host_one(frame);
-                    item.session->predictions[item.frame] =
-                        frame.failed ? -1 : frame.predicted;
-                }
-                if (host_many)
-                    flush();
-            });
-        }
-        for (std::thread &t : pool)
-            t.join();
+        vc.hostBatch = std::max<std::size_t>(1, config_.contentBatch);
+        const std::vector<std::int32_t> predicted = stream::classifyFrames(
+            vc, dataset, keys[c], config_.contentThreads);
+        for (std::size_t i = 0; i < items[c].size(); ++i)
+            items[c][i].session->predictions[items[c][i].frame] =
+                predicted[i];
     }
 }
 
@@ -1569,7 +1282,6 @@ FleetEngine::run()
         records_[i].freeNext =
             i + 1 < records_.size() ? static_cast<int>(i + 1) : -1;
     recordFreeHead_ = 0;
-    activeDevices_ = pool_.lifecycleCount(DeviceLifecycle::Active);
     if (config_.windowS > 0.0) {
         const double horizon =
             static_cast<double>(config_.framesPerSession) /

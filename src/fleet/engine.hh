@@ -3,6 +3,13 @@
  * FleetEngine: multi-tenant serving of thousands of client streams
  * on a shared RedEye device pool.
  *
+ * The engine keeps the event loop: the event heap, the classed
+ * queues, dispatch, the request path (deadlines, retry, hedging,
+ * brownout demand), the tuning cadence and reporting. Each other
+ * decision lives in the module that holds its state — device health
+ * in the DevicePool, the content pass in stream (classifyFrames),
+ * session storage in the SessionDb.
+ *
  * The engine is a virtual-time discrete-event simulation. Thousands
  * of concurrent open-loop Poisson clients cannot each run the full
  * functional pipeline, so service times come from the repo's own
@@ -19,13 +26,14 @@
  * layer enabled the engine additionally runs
  *
  *  - **live device health** — per-device fault campaigns with onset
- *    horizons fire on the device's served-frame clock; a periodic
- *    calibration-probe sweep (stream/probe.hh) scores each device
- *    into an EWMA and quarantines the failing ones;
+ *    horizons fire on the device's served-frame clock; on a periodic
+ *    sweep event the pool probes each device (stream/probe.hh),
+ *    scores it into an EWMA and quarantines the failing ones;
  *  - **quarantine/recovery** — quarantined devices drain their
- *    leases, reprobe on an exponential backoff, and are re-admitted
- *    through the DegradePlanCache with a Remap/Bypass plan, or
- *    retired permanently;
+ *    leases and reprobe on Reprobe events after the pool's
+ *    exponential backoff; the pool re-admits them through the
+ *    DegradePlanCache with a Remap/Bypass plan, or retires them
+ *    permanently;
  *  - **deadlines, retry, hedging** — every request carries a
  *    QoS-derived deadline; failed or timed-out attempts retry on a
  *    different device under seeded jittered exponential backoff and
@@ -39,10 +47,12 @@
  *    down: shed BEST_EFFORT arrivals, then force BACKGROUND to
  *    Bypass plans; INTERACTIVE is never touched.
  *
- * The layer's policy numbers are named constants in engine.cc
- * (kHealthAlpha, kQuarantineEwma, kErrorThreshold, kReprobeBackoff,
- * kRetireSuspectFraction, kRetryBackoff, kHedgePercentile,
- * kDeadlineMultiplier and the rest, DESIGN.md §13);
+ * The layer's policy numbers are named constants (DESIGN.md §13):
+ * the request policy (kRetryBackoff, kRetryBudgetCap,
+ * kHedgePercentile, kDeadlineMultiplier, kAttemptTimeoutMultiplier)
+ * in engine.cc, the device-health policy (kHealthAlpha,
+ * kQuarantineEwma, kErrorThreshold, kReprobeBackoff,
+ * kRetireSuspectFraction and the rest) in device_pool.cc.
  * FaultToleranceConfig carries only the switch, the sweep period
  * and the brownout band.
  *
@@ -73,12 +83,13 @@
  *
  * Content execution: the DES never touches pixels, so for the first
  * `contentSessions` clients the engine additionally *executes* the
- * real vision pipeline (stream/vision.hh worker closures) for every
- * frame the simulation completed, recording per-frame predictions.
- * Frame content is a pure function of (session seed, frame index),
- * so predictions are bit-identical at any contentThreads count —
- * the fleet analogue of the streaming runtime's determinism
- * contract.
+ * real vision pipeline for every frame the simulation completed: it
+ * groups the completed frames per class into content keys, hands
+ * each group to stream::classifyFrames (stream/vision.hh) and
+ * records the per-frame predictions. Frame content is a pure
+ * function of (session seed, frame index), so predictions are
+ * bit-identical at any contentThreads count — the fleet analogue of
+ * the streaming runtime's determinism contract.
  */
 
 #ifndef REDEYE_FLEET_ENGINE_HH
@@ -98,7 +109,6 @@
 #include "fleet/session_db.hh"
 #include "nn/network.hh"
 #include "redeye/compiler.hh"
-#include "stream/probe.hh"
 #include "tune/controller.hh"
 #include "tune/op_model.hh"
 #include "tune/scene.hh"
@@ -121,9 +131,10 @@ struct ChaosEvent {
 
 /**
  * Fault-tolerance layer knobs (DESIGN.md §13). The policy constants
- * (health EWMA weight, quarantine and retire thresholds, reprobe and
- * retry backoff, retry-budget cap, hedge percentile, deadline and
- * attempt-timeout multipliers) are fixed in engine.cc.
+ * are fixed: the device-health ones (health EWMA weight, quarantine,
+ * error and retire thresholds, reprobe backoff) in device_pool.cc,
+ * the request ones (retry backoff, retry-budget cap, hedge
+ * percentile, deadline and attempt-timeout multipliers) in engine.cc.
  */
 struct FaultToleranceConfig {
     /** Master switch. Off (the default) reproduces the pre-layer
@@ -132,7 +143,8 @@ struct FaultToleranceConfig {
 
     /** Calibration-probe sweep period in virtual seconds (0 turns
      * sweeps — and with them quarantine-by-probe and brownout
-     * control — off; error-threshold quarantine still runs). */
+     * control — off; error-threshold quarantine still runs).
+     * Negative periods are rejected. */
     double probePeriodS = 0.0;
 
     /** Demand/capacity ratio above which the brownout controller
@@ -174,7 +186,8 @@ struct FleetConfig {
     /** Scripted device kills/recoveries, applied in timeS order. */
     std::vector<ChaosEvent> chaos;
 
-    /** Reporting window span in virtual seconds (0 = no windows). */
+    /** Reporting window span in virtual seconds (0 = no windows;
+     * negative spans are rejected). */
     double windowS = 0.0;
 
     /**
@@ -182,9 +195,9 @@ struct FleetConfig {
      * tune/controller.hh). Enabled, every session carries an
      * AutoTuner seeded at its class operating point, fed by
      * per-completion feedback and stepped every tune.windowS of
-     * virtual time; a switch re-keys the session into the shared
-     * Program/OpModel caches. Disabled, the run is bit-identical to
-     * a tuner-less engine.
+     * virtual time (which must then be positive); a switch re-keys
+     * the session into the shared Program/OpModel caches. Disabled,
+     * the run is bit-identical to a tuner-less engine.
      */
     tune::AutoTuneConfig tune;
 
@@ -226,7 +239,6 @@ class FleetEngine
 
     const FleetConfig &config() const { return config_; }
     const SessionDb &sessions() const { return db_; }
-    SessionDb &sessions() { return db_; }
     const DevicePool &pool() const { return pool_; }
     const arch::ProgramCache &programCache() const
     {
@@ -344,7 +356,6 @@ class FleetEngine
     void onAttemptTimeout(const Event &event);
     void onChaos(const Event &event);
     void onTuneStep(const Event &event);
-    double poolSuspectFraction() const;
     void dispatchDevices(double now_s);
     void dispatchHosts(double now_s);
 
@@ -368,14 +379,11 @@ class FleetEngine
                       std::uint8_t except) const;
     void maybeRetry(RequestRecord &rec, int failed_device,
                     double now_s, StatusCode code);
-    void quarantine(std::size_t device, double now_s);
-    void probeDevice(std::size_t device, double now_s);
-    stream::ProbeReport probe(std::size_t device) const;
-    /** Plan @p device around @p report's suspects and (re-)admit it
-     * Active under that plan. */
-    void replan(std::size_t device, const stream::ProbeReport &report);
+    /** The pool just quarantined @p device: fold the window, then
+     * schedule its first reprobe. */
+    void onQuarantine(std::size_t device, double now_s);
+    void scheduleReprobe(std::size_t device, double now_s);
     void evaluateBrownout(double now_s);
-    double undetectedDeadFraction(const DeviceSlot &slot) const;
     FleetWindow *windowAt(double time_s);
     void flushQueues(double now_s);
 
@@ -419,7 +427,6 @@ class FleetEngine
     double demandEwmaFps_ = -1.0; ///< <0 = unseeded
     std::uint64_t arrivalsSinceSweep_ = 0;
     double lastSweepS_ = 0.0;
-    std::size_t activeDevices_ = 0; ///< cached Active-lifecycle count
 
     std::vector<FleetWindow> windows_;
     std::size_t windowHighWater_ = 0; ///< windows actually touched

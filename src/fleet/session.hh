@@ -4,9 +4,9 @@
  *
  * A Session is everything the fleet must remember about one client
  * between frames: identity, traffic class, arrival process, handles
- * into the shared content-addressed caches, and rolling statistics.
- * Sessions live inside the SessionDb (session_db.hh) which owns
- * their storage and guarantees pointer stability while admitted.
+ * into the shared content-addressed caches, the optional content-pass
+ * predictions and tuner, and rolling statistics. Sessions live in
+ * the SessionDb (session_db.hh), a dense table indexed by id.
  *
  * The latency statistic is a mergeable LogHistogram (core/hist.hh),
  * not a sample vector: per-class and fleet-wide percentiles are
@@ -113,10 +113,6 @@ struct Session {
     /** Open-loop arrival process (pure function of frame index). */
     stream::ArrivalSchedule arrivals;
 
-    std::uint64_t framesToOffer = 0;
-    std::uint64_t nextFrame = 0;   ///< next arrival index
-
-    double admittedS = 0.0;        ///< admission time (virtual s)
     double lastActiveS = 0.0;      ///< last arrival or completion
 
     /**
@@ -128,13 +124,14 @@ struct Session {
     std::shared_ptr<const arch::Program> program;
 
     /**
-     * When set, the engine executes the real vision pipeline for
-     * this session's completed frames and records predictions here
+     * Content-pass results, sized to the frame count for the first
+     * FleetConfig::contentSessions clients and empty otherwise: the
+     * engine marks each completed frame in completedMask, then runs
+     * the real vision pipeline over them and records predictions
      * (index = frame number, -1 = not completed). Content is a pure
      * function of (seed, frame index), so it is bit-identical at any
      * content worker count.
      */
-    bool recordPredictions = false;
     std::vector<std::int32_t> predictions;
     std::vector<std::uint8_t> completedMask;
 

@@ -1,79 +1,33 @@
 #include "fleet/session_db.hh"
 
 #include "core/logging.hh"
-#include "core/rng.hh" // splitmix64
 
 namespace redeye {
 namespace fleet {
 
-namespace {
-
-/** Smallest power of two >= @p n (and >= 1). */
-std::size_t
-nextPow2(std::size_t n)
+SessionDb::SessionDb(std::size_t expected)
 {
-    std::size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
+    sessions_.reserve(expected);
 }
 
-} // namespace
-
-SessionDb::SessionDb(std::size_t capacity)
-{
-    fatal_if(capacity == 0, "session db capacity must be positive");
-    nodes_.resize(capacity);
-    // 2x the capacity keeps expected chain length below 0.5 at full
-    // occupancy; power-of-two size turns the modulo into a mask.
-    buckets_.assign(nextPow2(capacity * 2), kNil);
-    // Thread all nodes onto the free list, in index order so admits
-    // fill the pool front to back (deterministic storage layout).
-    for (std::size_t i = capacity; i-- > 0;) {
-        nodes_[i].next = freeHead_;
-        freeHead_ = static_cast<std::uint32_t>(i);
-    }
-}
-
-std::size_t
-SessionDb::bucketOf(std::uint64_t id) const
-{
-    // splitmix64 gives full avalanche, so masking the low bits is a
-    // uniform bucket draw even for sequential client ids.
-    return splitmix64(id) & (buckets_.size() - 1);
-}
-
-Session *
+Session &
 SessionDb::admit(Session session)
 {
-    if (freeHead_ == kNil)
-        return nullptr; // at capacity
-    const std::size_t bucket = bucketOf(session.id);
-    for (std::uint32_t i = buckets_[bucket]; i != kNil;
-         i = nodes_[i].next) {
-        if (nodes_[i].session.id == session.id)
-            return nullptr; // duplicate admission
-    }
-    const std::uint32_t node = freeHead_;
-    freeHead_ = nodes_[node].next;
-    nodes_[node].session = std::move(session);
-    nodes_[node].live = true;
-    nodes_[node].next = buckets_[bucket];
-    buckets_[bucket] = node;
-    ++size_;
-    return &nodes_[node].session;
+    fatal_if(session.id != sessions_.size() + 1, "admitting session ",
+             session.id, " out of order: the next id is ",
+             sessions_.size() + 1);
+    sessions_.push_back(std::move(session));
+    ++live_;
+    return sessions_.back();
 }
 
 Session *
 SessionDb::find(std::uint64_t id)
 {
-    for (std::uint32_t i = buckets_[bucketOf(id)]; i != kNil;
-         i = nodes_[i].next) {
-        if (nodes_[i].session.id == id)
-            return &nodes_[i].session;
-        ++probeSteps_;
-    }
-    return nullptr;
+    if (id == 0 || id > sessions_.size())
+        return nullptr;
+    Session &s = sessions_[id - 1];
+    return s.id == id ? &s : nullptr;
 }
 
 const Session *
@@ -82,73 +36,27 @@ SessionDb::find(std::uint64_t id) const
     return const_cast<SessionDb *>(this)->find(id);
 }
 
-void
-SessionDb::release(std::size_t bucket, std::uint32_t node_index,
-                   std::uint32_t prev_index)
-{
-    if (prev_index == kNil)
-        buckets_[bucket] = nodes_[node_index].next;
-    else
-        nodes_[prev_index].next = nodes_[node_index].next;
-    nodes_[node_index].live = false;
-    nodes_[node_index].session = Session{}; // drop cache handles
-    nodes_[node_index].next = freeHead_;
-    freeHead_ = node_index;
-    --size_;
-}
-
-bool
-SessionDb::evict(std::uint64_t id)
-{
-    const std::size_t bucket = bucketOf(id);
-    std::uint32_t prev = kNil;
-    for (std::uint32_t i = buckets_[bucket]; i != kNil;
-         prev = i, i = nodes_[i].next) {
-        if (nodes_[i].session.id == id) {
-            release(bucket, i, prev);
-            return true;
-        }
-    }
-    return false;
-}
-
 std::size_t
 SessionDb::expireIdle(double idle_s, double now_s)
 {
     const double horizon = now_s - idle_s;
     std::size_t expired = 0;
-    for (std::size_t bucket = 0; bucket < buckets_.size(); ++bucket) {
-        std::uint32_t prev = kNil;
-        std::uint32_t i = buckets_[bucket];
-        while (i != kNil) {
-            const std::uint32_t next = nodes_[i].next;
-            if (nodes_[i].session.lastActiveS <= horizon) {
-                release(bucket, i, prev); // prev is unchanged
-                ++expired;
-            } else {
-                prev = i;
-            }
-            i = next;
+    for (Session &s : sessions_) {
+        if (s.id != 0 && s.lastActiveS <= horizon) {
+            s = Session{}; // drop cache handles and stats
+            ++expired;
         }
     }
+    live_ -= expired;
     return expired;
-}
-
-void
-SessionDb::forEach(FunctionRef<void(Session &)> fn)
-{
-    for (Node &n : nodes_) {
-        if (n.live)
-            fn(n.session);
-    }
 }
 
 void
 SessionDb::forEach(FunctionRef<void(const Session &)> fn) const
 {
-    for (const Node &n : nodes_) {
-        if (n.live)
-            fn(n.session);
+    for (const Session &s : sessions_) {
+        if (s.id != 0)
+            fn(s);
     }
 }
 

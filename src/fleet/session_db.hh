@@ -1,23 +1,21 @@
 /**
  * @file
- * SessionDb: hash-indexed per-client session database.
+ * SessionDb: the dense per-client session table.
  *
- * The fleet's hot path looks a session up on every frame arrival, so
- * the database is built for O(1) expected lookup at zero steady-state
- * allocation: a power-of-two bucket array over nodes preallocated at
- * construction, chained by index, with a free list recycling evicted
- * nodes (the same shape as a WLAN driver's per-station DB — a fixed
- * pool of peers keyed by address, admitted and expired as clients
- * come and go). Node storage never moves, so Session pointers stay
- * valid from admit() until the matching evict().
+ * A fleet run admits clients 1..N once, in id order, before its first
+ * event, and releases none while the run is live — so the table is a
+ * vector indexed by id - 1. The hot path looks a session up on every
+ * frame event, and find() is a bounds check. admit() appends the next
+ * id (admission out of order is fatal), so iteration in storage order
+ * is iteration in id order: every report sum over sessions has a
+ * fixed order.
  *
- * Lifecycle: admit() claims a node (rejecting duplicates and
- * admission past capacity — the DB is itself an admission control),
- * evict() releases it, expireIdle() sweeps sessions whose
- * lastActiveS has fallen behind a horizon — the janitor pass that
- * keeps a long-running fleet from leaking abandoned clients.
+ * After the run, expireIdle() releases sessions whose lastActiveS
+ * fell behind a horizon: a released session drops its cache handles
+ * and stats, find() no longer returns it and forEach() skips it.
+ * Released slots are not reused and survivors never move.
  *
- * The DB is externally synchronized: the fleet engine mutates it
+ * The table is externally synchronized: the fleet engine mutates it
  * only from its (deterministic, single-threaded) event loop, and
  * read-only aggregation after a run needs no locks.
  */
@@ -35,72 +33,42 @@
 namespace redeye {
 namespace fleet {
 
-/** Fixed-capacity hash database of admitted sessions. */
+/** Dense table of admitted sessions, indexed by id - 1. */
 class SessionDb
 {
   public:
-    /** @param capacity Maximum concurrently admitted sessions. */
-    explicit SessionDb(std::size_t capacity);
+    /** @param expected Sessions the run will admit: admitting up to
+     * this many never reallocates, so their pointers stay valid. */
+    explicit SessionDb(std::size_t expected = 0);
 
     /**
-     * Admit @p session under its id. Returns the stored session
-     * (stable until evicted), or nullptr when the id is already
-     * admitted or the DB is full.
+     * Admit @p session, whose id must be the next one (1 for the
+     * first admission, then one more than the last). Returns the
+     * stored session.
      */
-    Session *admit(Session session);
+    Session &admit(Session session);
 
-    /** Session with @p id, or nullptr. O(1) expected. */
+    /** Session with @p id, or nullptr when never admitted or
+     * released. */
     Session *find(std::uint64_t id);
     const Session *find(std::uint64_t id) const;
 
-    /** Remove @p id. Returns false when not admitted. */
-    bool evict(std::uint64_t id);
-
     /**
-     * Evict every session with lastActiveS <= now_s - idle_s.
-     * Returns the number of sessions expired.
+     * Release every session with lastActiveS <= now_s - idle_s.
+     * Returns the number of sessions released.
      */
     std::size_t expireIdle(double idle_s, double now_s);
 
-    /** Visit every admitted session (arbitrary order). */
-    void forEach(FunctionRef<void(Session &)> fn);
+    /** Visit every live session in id order. */
     void forEach(FunctionRef<void(const Session &)> fn) const;
 
-    /** Currently admitted sessions. */
-    std::size_t size() const { return size_; }
-
-    /** Admission capacity. */
-    std::size_t capacity() const { return nodes_.size(); }
-
-    /** Hash buckets (diagnostic). */
-    std::size_t buckets() const { return buckets_.size(); }
-
-    /**
-     * Nodes traversed beyond the bucket head across all find()s —
-     * the collision cost a resize would buy back (diagnostic).
-     */
-    std::uint64_t probeSteps() const { return probeSteps_; }
+    /** Live (admitted and not released) sessions. */
+    std::size_t size() const { return live_; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct Node {
-        Session session;
-        std::uint32_t next = kNil; ///< chain / free-list link
-        bool live = false;
-    };
-
-    std::size_t bucketOf(std::uint64_t id) const;
-
-    /** Unlink @p node_index from its bucket chain and free it. */
-    void release(std::size_t bucket, std::uint32_t node_index,
-                 std::uint32_t prev_index);
-
-    std::vector<Node> nodes_;
-    std::vector<std::uint32_t> buckets_;
-    std::uint32_t freeHead_ = kNil;
-    std::size_t size_ = 0;
-    mutable std::uint64_t probeSteps_ = 0;
+    /** Slot i holds session i + 1; a released slot has id 0. */
+    std::vector<Session> sessions_;
+    std::size_t live_ = 0;
 };
 
 } // namespace fleet

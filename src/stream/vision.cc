@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <thread>
 
 #include "core/exec.hh"
 #include "core/logging.hh"
@@ -11,6 +12,7 @@
 #include "models/partition.hh"
 #include "nn/serialize.hh"
 #include "redeye/device.hh"
+#include "stream/frame_source.hh"
 #include "system/jetson.hh"
 
 namespace redeye {
@@ -341,10 +343,13 @@ struct HostWorker {
     }
 };
 
-} // namespace
-
-std::vector<StageSpec>
-makeVisionStages(const VisionConfig &config_in)
+/**
+ * Validate @p config_in and materialize its shared plan cache, before
+ * any per-worker config copy is taken: every device worker must hold
+ * the same cache instance.
+ */
+VisionConfig
+checkedConfig(const VisionConfig &config_in)
 {
     fatal_if(config_in.depth < 1 || config_in.depth > 5,
              "vision depth must be in [1, 5]");
@@ -357,12 +362,18 @@ makeVisionStages(const VisionConfig &config_in)
     fatal_if(config_in.hostBatchWaitS < 0.0,
              "hostBatchWaitS must be non-negative");
 
-    // Materialize the shared plan cache here, before the per-worker
-    // config copies are captured: every device worker must hold the
-    // same cache instance.
     VisionConfig config = config_in;
     if (config.degrade.enabled && !config.planCache)
         config.planCache = std::make_shared<DegradePlanCache>();
+    return config;
+}
+
+} // namespace
+
+std::vector<StageSpec>
+makeVisionStages(const VisionConfig &config_in)
+{
+    const VisionConfig config = checkedConfig(config_in);
 
     std::vector<StageSpec> stages;
     stages.push_back(StageSpec{
@@ -395,6 +406,60 @@ makeVisionStages(const VisionConfig &config_in)
     }
     stages.push_back(std::move(host));
     return stages;
+}
+
+std::vector<std::int32_t>
+classifyFrames(const VisionConfig &config_in, const data::Dataset &replay,
+               const std::vector<std::uint64_t> &indices,
+               std::size_t threads)
+{
+    const VisionConfig config = checkedConfig(config_in);
+    threads = std::max<std::size_t>(1, threads);
+    std::vector<std::int32_t> predicted(indices.size());
+
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t]() {
+            // Worker replicas key all noise by frame index, so any
+            // thread computes identical content for an index (the
+            // streaming determinism contract, DESIGN.md §7).
+            ShapesReplaySource source(replay);
+            SensorWorker sensor(config);
+            DeviceWorker device(config);
+            HostWorker host(config);
+
+            // Sampled, device-served frames accumulate into a block
+            // served by one batched tail forward.
+            std::vector<StreamFrame> block;
+            std::vector<std::size_t> slots;
+            block.reserve(config.hostBatch);
+            slots.reserve(config.hostBatch);
+            auto flush = [&]() {
+                host.processBatch(block);
+                for (std::size_t j = 0; j < block.size(); ++j)
+                    predicted[slots[j]] = block[j].predicted;
+                block.clear();
+                slots.clear();
+            };
+
+            StreamFrame frame;
+            for (std::size_t i = t; i < indices.size(); i += threads) {
+                source.fill(indices[i], frame);
+                sensor.process(frame);
+                device.process(frame);
+                slots.push_back(i);
+                block.push_back(std::move(frame));
+                if (block.size() == config.hostBatch)
+                    flush();
+            }
+            if (!block.empty())
+                flush();
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+    return predicted;
 }
 
 data::Dataset

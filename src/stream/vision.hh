@@ -17,6 +17,11 @@
  * per-frame device) built from the same seeds, and keys all noise by
  * the frame index, so frame content is bit-identical no matter how
  * many workers serve a stage.
+ *
+ * makeVisionStages() hands the workers to a StreamRunner;
+ * classifyFrames() runs the same workers over a list of frame indices
+ * without one, for callers that only need the predictions (the fleet
+ * engine's content pass). Both take the same config check.
  */
 
 #ifndef REDEYE_STREAM_VISION_HH
@@ -116,6 +121,23 @@ struct VisionConfig {
  * this call itself is cheap.
  */
 std::vector<StageSpec> makeVisionStages(const VisionConfig &config);
+
+/**
+ * Classify frames outside a StreamRunner, with the stage workers the
+ * pipeline uses: frame indices[i] is replay example
+ * (indices[i] mod N), sampled by the sensor worker and run through
+ * the device worker; surviving frames coalesce into blocks of
+ * config.hostBatch, each served by one batched host-tail forward.
+ * @p threads workers (0 counts as 1) stride over the indices, each
+ * with private replicas; config's worker counts and batch wait do not
+ * apply. Returns one prediction per index. Content is a pure function
+ * of the index, so predictions are bit-identical at any thread count
+ * and batch size.
+ */
+std::vector<std::int32_t>
+classifyFrames(const VisionConfig &config, const data::Dataset &replay,
+               const std::vector<std::uint64_t> &indices,
+               std::size_t threads);
 
 /**
  * Generate the replay dataset the serving benches and tests use:

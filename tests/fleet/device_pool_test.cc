@@ -1,4 +1,9 @@
-/** @file Tests for the shared device pool and its health planning. */
+/**
+ * @file
+ * Tests for the shared device pool: its birth health planning,
+ * leasing, and the health lifecycle it owns (sweep, serve-error and
+ * reprobe transitions) driven directly, without a fleet engine.
+ */
 
 #include <memory>
 #include <vector>
@@ -19,6 +24,16 @@ smallPool(std::size_t devices, std::size_t hosts)
     c.hostWorkers = hosts;
     c.array.columns = 16; // small array keeps probing cheap
     return c;
+}
+
+/** A dead-column campaign on the 16-column array, live from frame 0.
+ * The default draw kills 5 columns: enough for a sweep to
+ * quarantine, few enough for a Remap plan. */
+std::shared_ptr<const fault::FaultModel>
+deadColumns(double rate = 0.25, std::uint64_t seed = 5)
+{
+    return std::make_shared<const fault::FaultModel>(
+        fault::FaultCampaign::deadColumns(rate, seed), 16);
 }
 
 TEST(DevicePoolTest, HealthyPoolByDefault)
@@ -96,37 +111,34 @@ TEST(DevicePoolTest, LeasePrefersHealthiestIdleDevice)
     int prev_rank = 0;
     for (std::size_t i = 0; i < cfg.devices; ++i) {
         ASSERT_TRUE(pool.hasIdleDevice());
-        const int dev = pool.leaseDevice(/*session=*/100 + i);
+        const int dev = pool.leaseDevice();
         ASSERT_GE(dev, 0);
         const int r =
             rank(pool.device(static_cast<std::size_t>(dev)).health);
         EXPECT_GE(r, prev_rank) << "lease " << i;
         prev_rank = r;
-        EXPECT_EQ(pool.device(static_cast<std::size_t>(dev)).leasedTo,
-                  100 + i);
     }
     EXPECT_FALSE(pool.hasIdleDevice());
-    EXPECT_EQ(pool.leaseDevice(999), -1);
+    EXPECT_EQ(pool.leaseDevice(), -1);
 }
 
 TEST(DevicePoolTest, ReleaseAccountsServiceAndUtilization)
 {
     DevicePool pool(smallPool(2, 2));
-    const int dev = pool.leaseDevice(7);
+    const int dev = pool.leaseDevice();
     ASSERT_GE(dev, 0);
     pool.releaseDevice(static_cast<std::size_t>(dev), 2.0, 0.5);
 
     const DeviceSlot &slot =
         pool.device(static_cast<std::size_t>(dev));
     EXPECT_FALSE(slot.busy);
-    EXPECT_EQ(slot.leasedTo, 0u);
     EXPECT_EQ(slot.framesServed, 1u);
     EXPECT_DOUBLE_EQ(slot.busyS, 2.0);
     EXPECT_DOUBLE_EQ(slot.energyJ, 0.5);
     // 2 s busy on one of two devices over 4 s of wall time.
     EXPECT_DOUBLE_EQ(pool.deviceUtilization(4.0), 0.25);
 
-    const int host = pool.leaseHost(7);
+    const int host = pool.leaseHost();
     ASSERT_GE(host, 0);
     pool.releaseHost(static_cast<std::size_t>(host), 1.0);
     EXPECT_EQ(pool.host(static_cast<std::size_t>(host)).framesServed,
@@ -137,13 +149,13 @@ TEST(DevicePoolTest, ReleaseAccountsServiceAndUtilization)
 TEST(DevicePoolTest, HostLeasesExhaustAndRecycle)
 {
     DevicePool pool(smallPool(1, 2));
-    EXPECT_EQ(pool.leaseHost(1), 0);
-    EXPECT_EQ(pool.leaseHost(2), 1);
+    EXPECT_EQ(pool.leaseHost(), 0);
+    EXPECT_EQ(pool.leaseHost(), 1);
     EXPECT_FALSE(pool.hasIdleHost());
-    EXPECT_EQ(pool.leaseHost(3), -1);
+    EXPECT_EQ(pool.leaseHost(), -1);
     pool.releaseHost(0, 0.1);
     EXPECT_TRUE(pool.hasIdleHost());
-    EXPECT_EQ(pool.leaseHost(3), 0);
+    EXPECT_EQ(pool.leaseHost(), 0);
 }
 
 TEST(DevicePoolTest, SharedPlanCacheKeysOnePlanPerDevice)
@@ -177,6 +189,124 @@ TEST(DevicePoolTest, RejectsEmptyPools)
     no_hosts.hostWorkers = 0;
     EXPECT_EXIT(DevicePool{no_hosts}, ::testing::ExitedWithCode(1),
                 "hosts");
+}
+
+TEST(DevicePoolTest, SweepQuarantinesOnlyUncoveredDeadColumns)
+{
+    DevicePool pool(smallPool(2, 1));
+    pool.setDeviceFaults(0, deadColumns());
+    const std::size_t dead = pool.device(0).faults->deadColumnCount(0);
+    ASSERT_GE(dead, 4u);
+    ASSERT_LT(dead, 8u);
+    // The birth plan saw a pristine array, so every dead column is
+    // undetected and attempts on the device may fail.
+    EXPECT_GT(pool.failureProbability(0), 0.0);
+    EXPECT_EQ(pool.failureProbability(1), 0.0);
+
+    EXPECT_FALSE(pool.sweep(1));
+    EXPECT_EQ(pool.device(1).lifecycle, DeviceLifecycle::Active);
+    EXPECT_DOUBLE_EQ(pool.device(1).healthEwma, 1.0);
+
+    EXPECT_TRUE(pool.sweep(0));
+    EXPECT_EQ(pool.device(0).lifecycle, DeviceLifecycle::Quarantined);
+    EXPECT_EQ(pool.device(0).quarantines, 1u);
+    EXPECT_LT(pool.device(0).healthEwma, 0.5);
+    EXPECT_EQ(pool.activeDevices(), 1u);
+    // A sweep passes over devices that are not Active.
+    EXPECT_FALSE(pool.sweep(0));
+    EXPECT_EQ(pool.device(0).quarantines, 1u);
+}
+
+TEST(DevicePoolTest, ThirdServeErrorQuarantines)
+{
+    DevicePool pool(smallPool(2, 1));
+    EXPECT_FALSE(pool.recordServeError(0));
+    EXPECT_FALSE(pool.recordServeError(0));
+    EXPECT_EQ(pool.device(0).lifecycle, DeviceLifecycle::Active);
+    EXPECT_TRUE(pool.recordServeError(0));
+    EXPECT_EQ(pool.device(0).lifecycle, DeviceLifecycle::Quarantined);
+    EXPECT_EQ(pool.device(0).errorsTotal, 3u);
+    EXPECT_EQ(pool.device(0).serveErrors, 0u);
+    EXPECT_EQ(pool.activeDevices(), 1u);
+    EXPECT_EQ(pool.device(1).errorsTotal, 0u);
+}
+
+TEST(DevicePoolTest, QuarantinedDeviceBacksOffThenReadmitsRemapped)
+{
+    DevicePool pool(smallPool(2, 1));
+    pool.setDeviceFaults(0, deadColumns());
+    ASSERT_TRUE(pool.sweep(0));
+
+    // Reprobes back off from 50 ms, doubling, until the health EWMA
+    // climbs back over the bar.
+    double delay = 0.05;
+    EXPECT_DOUBLE_EQ(pool.reprobeDelayS(0), delay);
+    ReprobeOutcome outcome;
+    std::size_t waits = 0;
+    while ((outcome = pool.reprobe(0)) == ReprobeOutcome::Waiting) {
+        delay *= 2.0;
+        EXPECT_DOUBLE_EQ(pool.reprobeDelayS(0), delay);
+        EXPECT_EQ(pool.device(0).lifecycle,
+                  DeviceLifecycle::Quarantined);
+        ASSERT_LT(++waits, 8u);
+    }
+    EXPECT_GE(waits, 1u);
+    ASSERT_EQ(outcome, ReprobeOutcome::Readmitted);
+
+    // Readmitted under a plan around its dead columns.
+    const DeviceSlot &slot = pool.device(0);
+    EXPECT_EQ(slot.lifecycle, DeviceLifecycle::Active);
+    EXPECT_EQ(slot.health, stream::DegradeMode::Remap);
+    EXPECT_EQ(slot.plan.suspectColumns.size(),
+              slot.faults->deadColumnCount(0));
+    EXPECT_DOUBLE_EQ(slot.healthEwma, 1.0);
+    EXPECT_EQ(slot.recoveries, 1u);
+    EXPECT_EQ(pool.totalRecoveries(), 1u);
+    EXPECT_EQ(pool.failureProbability(0), 0.0);
+    EXPECT_EQ(pool.activeDevices(), 2u);
+    // Both devices are back in the idle set, exactly once each.
+    EXPECT_GE(pool.leaseDevice(), 0);
+    EXPECT_GE(pool.leaseDevice(), 0);
+    EXPECT_FALSE(pool.hasIdleDevice());
+    EXPECT_EQ(pool.leaseDevice(), -1);
+}
+
+TEST(DevicePoolTest, QuarantineWhileLeasedDrainsOnRelease)
+{
+    DevicePool pool(smallPool(2, 1));
+    ASSERT_EQ(pool.leaseDevice(), 0);
+    for (int i = 0; i < 3; ++i)
+        pool.recordServeError(0);
+    ASSERT_EQ(pool.device(0).lifecycle, DeviceLifecycle::Quarantined);
+    EXPECT_TRUE(pool.device(0).busy); // the lease is not interrupted
+
+    pool.releaseDevice(0, 1.0, 0.0);
+    EXPECT_EQ(pool.device(0).framesServed, 1u);
+    // Released, but not back in the idle set.
+    EXPECT_EQ(pool.leaseDevice(), 1);
+    EXPECT_FALSE(pool.hasIdleDevice());
+    EXPECT_EQ(pool.leaseDevice(), -1);
+}
+
+TEST(DevicePoolTest, FullyDeadDeviceRetiresAndIsNeverLeased)
+{
+    DevicePool pool(smallPool(2, 1));
+    pool.setDeviceFaults(0, deadColumns(1.0));
+    ASSERT_TRUE(pool.sweep(0));
+    EXPECT_EQ(pool.reprobe(0), ReprobeOutcome::Retired);
+    EXPECT_EQ(pool.device(0).lifecycle, DeviceLifecycle::Retired);
+    EXPECT_EQ(pool.lifecycleCount(DeviceLifecycle::Retired), 1u);
+    EXPECT_EQ(pool.activeDevices(), 1u);
+    EXPECT_EQ(pool.totalRecoveries(), 0u);
+    EXPECT_FALSE(pool.sweep(0));
+
+    for (int round = 0; round < 3; ++round) {
+        ASSERT_EQ(pool.leaseDevice(), 1);
+        EXPECT_EQ(pool.leaseDevice(), -1);
+        pool.releaseDevice(1, 0.1, 0.0);
+    }
+    // Excluding the only Active device leaves nothing to lease.
+    EXPECT_EQ(pool.leaseDevice(1), -1);
 }
 
 TEST(DevicePoolTest, ReleasingIdleSlotIsFatal)

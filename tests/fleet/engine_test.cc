@@ -190,6 +190,16 @@ TEST(FleetEngineTest, IdleSessionsExpireAfterRun)
     EXPECT_LT(engine.sessions().size(), cfg.sessions);
 }
 
+TEST(FleetEngineTest, RejectsNegativeWindow)
+{
+    // A negative span would silently turn reporting windows off, and
+    // a worst-window SLO gate would then pass on no windows at all.
+    FleetConfig cfg = smallFleet();
+    cfg.windowS = -1.0;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "windowS");
+}
+
 TEST(FleetEngineTest, ContentPredictionsMatchAtAnyThreadCount)
 {
     // The expensive test: the flagged sessions run the real vision

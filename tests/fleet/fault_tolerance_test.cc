@@ -3,8 +3,9 @@
  * Tests for the fleet fault-tolerance layer: chaos-schedule
  * terminality, quarantine/recovery/retire lifecycle, error-threshold
  * detection, retry/hedge accounting and its session -> class ->
- * fleet aggregation, the retry-attempt bound and brownout band
- * checks, brownout shedding, and the determinism of all of it.
+ * fleet aggregation, the retry-attempt bound, brownout band and
+ * probe-period checks, brownout shedding, and the determinism of all
+ * of it.
  */
 
 #include <array>
@@ -361,6 +362,16 @@ TEST(FaultToleranceTest, RejectsBrownoutLowAtOrAboveHigh)
     cfg.ft.brownoutLow = 0.5;
     EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
                 "brownoutLow.*brownoutHigh");
+}
+
+TEST(FaultToleranceTest, RejectsNegativeProbePeriod)
+{
+    // A negative period would silently turn sweeps off, and with them
+    // quarantine-by-probe and brownout control.
+    FleetConfig cfg = chaosFleet();
+    cfg.ft.probePeriodS = -1.0;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "ft.probePeriodS");
 }
 
 TEST(FaultToleranceTest, DeviceKilledOutrightIsRetired)

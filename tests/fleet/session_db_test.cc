@@ -1,6 +1,6 @@
-/** @file Tests for the fixed-capacity hash session database. */
+/** @file Tests for the dense session table. */
 
-#include <set>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,38 +20,35 @@ makeSession(std::uint64_t id, double last_active = 0.0)
     return s;
 }
 
-TEST(SessionDbTest, AdmitFindEvict)
+TEST(SessionDbTest, AdmitAppendsAndFindChecksBounds)
 {
     SessionDb db(8);
     EXPECT_EQ(db.size(), 0u);
-    EXPECT_EQ(db.capacity(), 8u);
+    EXPECT_EQ(db.find(1), nullptr);
 
-    Session *s = db.admit(makeSession(42));
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->id, 42u);
-    EXPECT_EQ(db.size(), 1u);
-    EXPECT_EQ(db.find(42), s);
-    EXPECT_EQ(db.find(43), nullptr);
+    Session &s = db.admit(makeSession(1));
+    EXPECT_EQ(s.id, 1u);
+    EXPECT_EQ(db.admit(makeSession(2)).id, 2u);
+    EXPECT_EQ(db.size(), 2u);
+    EXPECT_EQ(db.find(1), &s);
+    EXPECT_EQ(db.find(2)->id, 2u);
+    EXPECT_EQ(db.find(0), nullptr);
+    EXPECT_EQ(db.find(3), nullptr);
 
-    EXPECT_TRUE(db.evict(42));
-    EXPECT_EQ(db.find(42), nullptr);
-    EXPECT_EQ(db.size(), 0u);
-    EXPECT_FALSE(db.evict(42)); // already gone
+    const SessionDb &cdb = db;
+    EXPECT_EQ(cdb.find(1), &s);
 }
 
-TEST(SessionDbTest, RejectsDuplicatesAndOverflow)
+TEST(SessionDbTest, RejectsOutOfOrderAdmission)
 {
-    SessionDb db(2);
-    ASSERT_NE(db.admit(makeSession(1)), nullptr);
-    EXPECT_EQ(db.admit(makeSession(1)), nullptr); // duplicate
-    ASSERT_NE(db.admit(makeSession(2)), nullptr);
-    EXPECT_EQ(db.admit(makeSession(3)), nullptr); // full
-    EXPECT_EQ(db.size(), 2u);
-
-    // Eviction frees a slot for a new admission.
-    EXPECT_TRUE(db.evict(1));
-    EXPECT_NE(db.admit(makeSession(3)), nullptr);
-    EXPECT_NE(db.find(3), nullptr);
+    SessionDb db;
+    EXPECT_EXIT(db.admit(makeSession(2)), ::testing::ExitedWithCode(1),
+                "out of order");
+    db.admit(makeSession(1));
+    EXPECT_EXIT(db.admit(makeSession(1)), ::testing::ExitedWithCode(1),
+                "out of order");
+    EXPECT_EXIT(db.admit(makeSession(0)), ::testing::ExitedWithCode(1),
+                "out of order");
 }
 
 TEST(SessionDbTest, PointersStableAcrossChurn)
@@ -59,34 +56,19 @@ TEST(SessionDbTest, PointersStableAcrossChurn)
     SessionDb db(64);
     std::vector<Session *> stored;
     for (std::uint64_t id = 1; id <= 64; ++id)
-        stored.push_back(db.admit(makeSession(id)));
+        stored.push_back(&db.admit(makeSession(id, id % 2 ? 1.0 : 9.0)));
 
-    // Churn half the population; survivors must not move.
-    for (std::uint64_t id = 1; id <= 64; id += 2)
-        EXPECT_TRUE(db.evict(id));
-    for (std::uint64_t id = 101; id <= 132; ++id)
-        ASSERT_NE(db.admit(makeSession(id)), nullptr);
-    for (std::uint64_t id = 2; id <= 64; id += 2) {
+    // Expire the odd ids; survivors must not move.
+    EXPECT_EQ(db.expireIdle(5.0, 10.0), 32u);
+    for (std::uint64_t id = 1; id <= 64; ++id) {
         Session *found = db.find(id);
-        ASSERT_NE(found, nullptr);
-        EXPECT_EQ(found, stored[id - 1])
-            << "session " << id << " moved";
+        if (id % 2) {
+            EXPECT_EQ(found, nullptr) << "session " << id;
+            continue;
+        }
+        EXPECT_EQ(found, stored[id - 1]) << "session " << id << " moved";
         EXPECT_EQ(found->id, id);
     }
-}
-
-TEST(SessionDbTest, SequentialIdsSpreadAcrossBuckets)
-{
-    // Sequential client ids are the common case; the hashed bucket
-    // draw must keep chains short (probeSteps counts extra hops).
-    SessionDb db(256);
-    for (std::uint64_t id = 0; id < 256; ++id)
-        ASSERT_NE(db.admit(makeSession(id)), nullptr);
-    for (std::uint64_t id = 0; id < 256; ++id)
-        ASSERT_NE(db.find(id), nullptr);
-    // 512 buckets over 256 sessions: expected chain ~0.5; allow a
-    // generous margin over the 256-find sweep.
-    EXPECT_LT(db.probeSteps(), 256u);
 }
 
 TEST(SessionDbTest, ExpireIdleSweepsOnlyStale)
@@ -103,42 +85,37 @@ TEST(SessionDbTest, ExpireIdleSweepsOnlyStale)
     EXPECT_EQ(db.find(1), nullptr);
     EXPECT_EQ(db.find(2), nullptr);
     EXPECT_NE(db.find(3), nullptr);
+    // Released sessions stay released.
+    EXPECT_EQ(db.expireIdle(5.0, 10.0), 0u);
+    EXPECT_EQ(db.size(), 1u);
 }
 
 TEST(SessionDbTest, ForEachVisitsExactlyTheLive)
 {
     SessionDb db(16);
     for (std::uint64_t id = 1; id <= 10; ++id)
-        db.admit(makeSession(id));
-    db.evict(3);
-    db.evict(7);
+        db.admit(makeSession(id, id == 3 || id == 7 ? 0.0 : 1.0));
+    EXPECT_EQ(db.expireIdle(0.5, 1.0), 2u);
 
-    std::set<std::uint64_t> visited;
-    const SessionDb &cdb = db;
-    cdb.forEach([&](const Session &s) { visited.insert(s.id); });
-    EXPECT_EQ(visited.size(), 8u);
-    EXPECT_EQ(visited.count(3), 0u);
-    EXPECT_EQ(visited.count(7), 0u);
-    EXPECT_EQ(visited.count(10), 1u);
+    // Live sessions only, in id order.
+    std::vector<std::uint64_t> visited;
+    db.forEach([&](const Session &s) { visited.push_back(s.id); });
+    EXPECT_EQ(visited,
+              (std::vector<std::uint64_t>{1, 2, 4, 5, 6, 8, 9, 10}));
 }
 
 TEST(SessionDbTest, EvictionReleasesCacheHandles)
 {
     SessionDb db(4);
-    Session s = makeSession(9);
+    Session s = makeSession(1);
     auto program = std::make_shared<const arch::Program>();
     s.program = program;
-    ASSERT_NE(db.admit(std::move(s)), nullptr);
+    db.admit(std::move(s));
     EXPECT_EQ(program.use_count(), 2);
-    EXPECT_TRUE(db.evict(9));
-    // The db dropped its handle at eviction, not at destruction.
+    // Expiry evicts the session: the table drops its handle then,
+    // not at destruction.
+    EXPECT_EQ(db.expireIdle(1.0, 1.0), 1u);
     EXPECT_EQ(program.use_count(), 1);
-}
-
-TEST(SessionDbTest, RejectsZeroCapacity)
-{
-    EXPECT_EXIT(SessionDb(0), ::testing::ExitedWithCode(1),
-                "capacity");
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * its virtual-time cadence, retunes sessions through the shared
  * caches on scene changes, composes with quarantine-driven Bypass,
  * and the whole thing stays deterministic across runs and across
- * content thread counts.
+ * content thread counts. An enabled tuner without a step period is
+ * rejected.
  */
 
 #include <cstdint>
@@ -173,6 +174,19 @@ TEST(FleetAutoTuneTest, ComposesWithQuarantineUnderChaos)
 
     FleetEngine second(cfg);
     expectReportsEqual(r, second.run());
+}
+
+TEST(FleetAutoTuneTest, RejectsEnabledTunerWithoutStepPeriod)
+{
+    // Without a step period no TuneStep is ever scheduled: the
+    // tuners would observe every completion and never step.
+    FleetConfig cfg = tunedFleet();
+    cfg.tune.windowS = 0.0;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "tune.windowS");
+    cfg.tune.windowS = -0.5;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "tune.windowS");
 }
 
 TEST(FleetAutoTuneTest, ReportPrintsTheAutotuneLine)
