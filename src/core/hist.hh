@@ -6,10 +6,9 @@
  * percentile path (core/stats.hh keeps every sample); LogHistogram
  * instead folds samples into geometrically spaced buckets — constant
  * memory per stream — and two histograms with the same layout merge
- * by adding bucket counts. That makes per-session, per-class and
- * fleet-wide p50/p95/p99 all computable from the same accumulators:
- * aggregate views are merges of the per-session ones, never a second
- * pass over raw samples.
+ * by adding bucket counts. That makes per-class and fleet-wide
+ * p50/p95/p99 computable from the same accumulators: aggregate views
+ * are merges, never a second pass over raw samples.
  *
  * Buckets subdivide each octave (factor of 2) of [lo, hi) evenly in
  * log space, so the relative quantization error of a reconstructed

@@ -10,8 +10,6 @@
 #include "data/shapes_dataset.hh"
 #include "models/mini_googlenet.hh"
 #include "models/partition.hh"
-#include "redeye/energy_model.hh"
-#include "redeye/scheduler.hh"
 #include "stream/frame_source.hh"
 #include "stream/vision.hh"
 #include "system/jetson.hh"
@@ -125,11 +123,13 @@ FleetEngine::FleetEngine(const FleetConfig &config)
                    queueClasses(config.qos, config.queueCapacity)),
       hostQueue_(std::max<std::size_t>(1, config.queueCapacity),
                  queueClasses(config.qos, config.queueCapacity)),
+      latencyHist_{{makeLatencyHistogram(), makeLatencyHistogram(),
+                    makeLatencyHistogram()}},
       serviceHist_{{makeLatencyHistogram(), makeLatencyHistogram(),
                     makeLatencyHistogram()}}
 {
     static_assert(kTrafficClasses == 3,
-                  "serviceHist_ initializer assumes three classes");
+                  "histogram initializers assume three classes");
     fatal_if(config_.sessions == 0, "fleet needs sessions");
     fatal_if(config_.framesPerSession == 0, "fleet needs frames");
     fatal_if(config_.sessionRateHz <= 0.0,
@@ -152,6 +152,16 @@ FleetEngine::FleetEngine(const FleetConfig &config)
     fatal_if(config_.tune.enabled && config_.tune.windowS <= 0.0,
              "tune.windowS must be positive with the tuner enabled, got ",
              config_.tune.windowS);
+    // Only the fault-tolerance layer schedules chaos: with it off, a
+    // script would be silently dropped.
+    fatal_if(!config_.chaos.empty() && !ftOn(),
+             "chaos needs ft.enabled; ", config_.chaos.size(),
+             " chaos events would be ignored");
+    for (std::size_t i = 0; i < config_.chaos.size(); ++i)
+        fatal_if(config_.chaos[i].device >= pool_.devices(), "chaos[", i,
+                 "].device (", config_.chaos[i].device,
+                 ") is outside the pool of ", pool_.devices(),
+                 " devices");
 
     // Every class serves the same trained topology; only the
     // operating point differs, so the shared ProgramCache keys
@@ -184,38 +194,15 @@ FleetEngine::buildClassModels()
     for (std::size_t c = 0; c < kTrafficClasses; ++c) {
         const QosClassConfig &q = config_.qos[c];
         ClassModel &m = models_[c];
-        tune::OpModel &om = m.serving;
         m.analogLayers = models::miniGoogLeNetAnalogLayers(q.depth);
-
         m.deviceConfig.adcBits = q.adcBits;
         m.deviceConfig.convSnrDb = q.convSnrDb;
         m.deviceConfig.columns = models::kMiniInputSize;
-        om.op = tune::OperatingPoint{q.convSnrDb, q.adcBits, q.depth};
-
-        auto prog = programCache_->compileOrStatus(
-            *net_, m.analogLayers, m.deviceConfig);
-        fatal_if(!prog.ok(), prog.status().message());
-        om.program = std::move(prog.value());
-        om.deviceS = arch::scheduleProgram(*om.program, m.deviceConfig)
-                         .frameLatencyS;
-        om.analogJ = arch::RedEyeModel(*om.program, m.deviceConfig)
-                         .estimateFrame()
-                         .energy.totalJ();
-
-        // The Remap serving point: same cut, ADC boosted the way the
-        // degradation policy programs it (stream/degrade.hh).
-        arch::RedEyeConfig remap_cfg = m.deviceConfig;
-        remap_cfg.adcBits += config_.pool.degrade.adcBoostBits;
-        auto remap = programCache_->compileOrStatus(
-            *net_, m.analogLayers, remap_cfg);
-        fatal_if(!remap.ok(), remap.status().message());
-        om.remapProgram = std::move(remap.value());
-        om.remapDeviceS =
-            arch::scheduleProgram(*om.remapProgram, remap_cfg)
-                .frameLatencyS;
-        om.remapAnalogJ = arch::RedEyeModel(*om.remapProgram, remap_cfg)
-                              .estimateFrame()
-                              .energy.totalJ();
+        tune::OpModel &om = m.serving;
+        om = tune::deviceModel(
+            *net_, *programCache_,
+            tune::OperatingPoint{q.convSnrDb, q.adcBits, q.depth},
+            config_.pool.degrade.adcBoostBits);
 
         // The Jetson line anchored at this class's own tail, so every
         // depth's tail costs the measured depth-5 time.
@@ -346,8 +333,6 @@ FleetEngine::admitSessions()
 
     if (ftOn()) {
         for (std::size_t i = 0; i < config_.chaos.size(); ++i) {
-            fatal_if(config_.chaos[i].device >= pool_.devices(),
-                     "chaos event targets an unknown device");
             Event e;
             e.kind = Event::Kind::Chaos;
             e.timeS = config_.chaos[i].timeS;
@@ -1056,7 +1041,7 @@ FleetEngine::onHostDone(const Event &event)
 
     const double latency = now - event.qf.arrivalS;
     ++s->stats.completed;
-    s->stats.latencyS.add(latency);
+    latencyHist_[cls].add(latency);
     s->stats.systemJ.add(event.qf.analogJ + event.energyJ);
     const bool violated = latency > m.sloS;
     if (violated)
@@ -1185,7 +1170,6 @@ FleetEngine::buildReport() const
         ClassAccum &ca = accum[c];
         ++cr.sessions;
         cr += s.stats;
-        cr.latencyS.merge(s.stats.latencyS);
         ca.energySumJ += s.stats.systemJ.mean() *
                          static_cast<double>(s.stats.systemJ.count());
         ca.energyCount += s.stats.systemJ.count();
@@ -1197,6 +1181,7 @@ FleetEngine::buildReport() const
         ClassReport &cr = classes[c];
         cr.cls = static_cast<TrafficClass>(c);
         cr.sloS = models_[c].sloS;
+        cr.latencyS = latencyHist_[c];
         if (r.makespanS > 0.0)
             cr.fps = static_cast<double>(cr.completed) /
                      r.makespanS;

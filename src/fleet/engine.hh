@@ -183,7 +183,8 @@ struct FleetConfig {
     /** Fault-tolerance layer (off by default). */
     FaultToleranceConfig ft;
 
-    /** Scripted device kills/recoveries, applied in timeS order. */
+    /** Scripted device kills/recoveries, applied in timeS order.
+     * Needs ft.enabled, and every target inside the pool. */
     std::vector<ChaosEvent> chaos;
 
     /** Reporting window span in virtual seconds (0 = no windows;
@@ -417,6 +418,9 @@ class FleetEngine
 
     std::vector<RequestRecord> records_;
     int recordFreeHead_ = -1;
+
+    /** End-to-end latency of every completion, per class. */
+    std::array<LogHistogram, kTrafficClasses> latencyHist_;
 
     // ---- Fault-tolerance state (inert with the layer off) ----
     std::array<RetryBudget, kTrafficClasses> budgets_{};

@@ -2,12 +2,10 @@
  * @file
  * Fleet-level serving reports.
  *
- * All aggregate views derive from the per-session accumulators by
- * merging: class latency percentiles come from merging the member
- * sessions' LogHistograms (core/hist.hh), class and fleet counters
- * from summing the ServeCounts of the level below. Nothing here
- * keeps raw samples, so the report cost is independent of frames
- * served.
+ * Class latency percentiles come from one LogHistogram per class
+ * (core/hist.hh), fed at each completion; class and fleet counters
+ * sum the ServeCounts of the level below. Nothing here keeps raw
+ * samples, so the report cost is independent of frames served.
  *
  * Fairness is Jain's index over per-session completed throughput
  * within a class: 1.0 when every admitted session of the class got
@@ -70,14 +68,14 @@ struct FleetWindow {
 };
 
 /** Aggregated serving outcome of one traffic class: the sum of its
- * sessions' ServeCounts plus merged distributions. */
+ * sessions' ServeCounts plus its latency distribution. */
 struct ClassReport : ServeCounts {
     TrafficClass cls = TrafficClass::BestEffort;
     std::size_t sessions = 0; ///< sessions admitted in this class
 
     double fps = 0.0; ///< completed frames / makespan
 
-    // Percentiles of end-to-end latency, merged across sessions.
+    // Percentiles of the class's end-to-end latency.
     double p50S = 0.0;
     double p95S = 0.0;
     double p99S = 0.0;
@@ -90,7 +88,7 @@ struct ClassReport : ServeCounts {
 
     double fairness = 1.0; ///< Jain over per-session throughput
 
-    /** Merged latency histogram (fleet layout). */
+    /** Latency of every completion in the class (fleet layout). */
     LogHistogram latencyS = makeLatencyHistogram();
 };
 

@@ -8,10 +8,10 @@
  * predictions and tuner, and rolling statistics. Sessions live in
  * the SessionDb (session_db.hh), a dense table indexed by id.
  *
- * The latency statistic is a mergeable LogHistogram (core/hist.hh),
- * not a sample vector: per-class and fleet-wide percentiles are
- * computed by merging session histograms, so memory per session is
- * constant no matter how many frames it serves.
+ * A session keeps counters and an energy mean, not latencies: the
+ * engine feeds each completion's latency into one LogHistogram per
+ * class (core/hist.hh), so memory per session is small and constant
+ * no matter how many frames it serves.
  */
 
 #ifndef REDEYE_FLEET_SESSION_HH
@@ -31,9 +31,9 @@
 namespace redeye {
 namespace fleet {
 
-/** Latency histogram layout shared by sessions, classes and fleet
- * aggregates (must match for merging): 100 us .. 100 s at ~9%
- * relative resolution. */
+/** Latency histogram layout shared by classes and fleet aggregates
+ * (must match for merging): 100 us .. 100 s at ~9% relative
+ * resolution. */
 inline constexpr double kLatencyHistLoS = 1e-4;
 inline constexpr double kLatencyHistHiS = 1e2;
 inline constexpr unsigned kLatencyHistPerOctave = 8;
@@ -100,7 +100,6 @@ struct ServeCounts {
 
 /** Rolling per-session serving statistics. */
 struct SessionStats : ServeCounts {
-    LogHistogram latencyS = makeLatencyHistogram();
     RunningStat systemJ; ///< per-completed-frame system energy
 };
 

@@ -326,50 +326,16 @@ ProgramCache::compileOrStatus(
     const RedEyeConfig &config)
 {
     const std::uint64_t key = programKey(net, analog_layers, config);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = programs_.find(key);
-        if (it != programs_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-    // Compile outside the lock; the compiler is pure, so a racing
-    // duplicate compilation yields an identical program.
+    if (const auto *cached = programs_.find(key))
+        return *cached;
+    // Compile outside the cache's lock; the compiler is pure, so a
+    // racing duplicate compilation yields an identical program.
     StatusOr<Program> prog =
         arch::compileOrStatus(net, analog_layers, config);
     if (!prog.ok())
         return prog.status();
-    auto shared =
-        std::make_shared<const Program>(std::move(prog.value()));
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = programs_.emplace(key, std::move(shared));
-    if (inserted)
-        ++misses_;
-    else
-        ++hits_;
-    return it->second;
-}
-
-std::uint64_t
-ProgramCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-ProgramCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-ProgramCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return programs_.size();
+    return programs_.insert(
+        key, std::make_shared<const Program>(std::move(prog.value())));
 }
 
 } // namespace arch

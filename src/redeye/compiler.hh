@@ -29,12 +29,11 @@
 #define REDEYE_REDEYE_COMPILER_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/content_cache.hh"
 #include "core/status.hh"
 #include "redeye/config.hh"
 #include "redeye/program.hh"
@@ -74,11 +73,11 @@ std::uint64_t programKey(const nn::Network &net,
                          const RedEyeConfig &config);
 
 /**
- * Thread-safe, content-addressed cache of compiled programs. Serving
- * paths that re-derive a program per frame (or per worker) fetch the
- * shared immutable compilation instead of re-running the compiler;
- * a key change — new topology, new cut, new operating point —
- * naturally misses and compiles fresh. Entries are never evicted.
+ * Content-addressed cache of compiled programs (core/content_cache.hh)
+ * under programKey(). Serving paths that re-derive a program per frame
+ * (or per worker) fetch the shared immutable compilation instead of
+ * re-running the compiler; a key change — new topology, new cut, new
+ * operating point — misses and compiles fresh.
  */
 class ProgramCache
 {
@@ -87,7 +86,7 @@ class ProgramCache
      * Program for (net, analog_layers, config), compiling on the
      * first request. The returned pointer is immutable and outlives
      * the cache entry (shared ownership); a compile failure is
-     * returned as the compiler's Status and is not cached.
+     * returned as the compiler's Status, neither cached nor counted.
      */
     StatusOr<std::shared_ptr<const Program>>
     compileOrStatus(nn::Network &net,
@@ -95,19 +94,16 @@ class ProgramCache
                     const RedEyeConfig &config);
 
     /** Lookups served from the cache. */
-    std::uint64_t hits() const;
+    std::uint64_t hits() const { return programs_.hits(); }
 
     /** Lookups that compiled. */
-    std::uint64_t misses() const;
+    std::uint64_t misses() const { return programs_.misses(); }
 
     /** Cached programs. */
-    std::size_t size() const;
+    std::size_t size() const { return programs_.size(); }
 
   private:
-    mutable std::mutex mutex_;
-    std::map<std::uint64_t, std::shared_ptr<const Program>> programs_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    ContentCache<std::shared_ptr<const Program>> programs_;
 };
 
 } // namespace arch

@@ -1,10 +1,10 @@
 #include "redeye/device.hh"
 
 #include <cmath>
-#include <mutex>
 #include <set>
 #include <sstream>
 
+#include "core/content_cache.hh"
 #include "core/logging.hh"
 #include "core/structural_hash.hh"
 #include "nn/concat.hh"
@@ -84,14 +84,13 @@ validatePartition(nn::Network &net,
 
 /**
  * Process-wide memo of structurally valid (topology, partition)
- * pairs, keyed by content address. Devices are constructed per frame
+ * pairs, keyed by partitionKey(). Devices are constructed per frame
  * on the serving path, so an instance-local memo would never hit;
  * validity is a pure function of structure, so the memo is safe to
  * share. Only successes are recorded — failures stay on the slow
  * path and re-derive their diagnostic.
  */
-std::mutex g_validatedMutex;
-std::set<std::uint64_t> g_validated;
+ContentCache<bool> g_validated;
 
 std::uint64_t
 partitionKey(const nn::Network &net,
@@ -124,15 +123,9 @@ RedEyeDevice::tryRun(nn::Network &net,
             std::to_string(input.shape().n));
     }
     const std::uint64_t vkey = partitionKey(net, analog_layers);
-    bool known_valid;
-    {
-        std::lock_guard<std::mutex> lock(g_validatedMutex);
-        known_valid = g_validated.count(vkey) > 0;
-    }
-    if (!known_valid) {
+    if (!g_validated.find(vkey)) {
         RETURN_IF_ERROR(validatePartition(net, analog_layers));
-        std::lock_guard<std::mutex> lock(g_validatedMutex);
-        g_validated.insert(vkey);
+        g_validated.insert(vkey, true);
     }
 
     std::set<std::string> wanted(analog_layers.begin(),

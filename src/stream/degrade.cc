@@ -108,55 +108,9 @@ degradePlanKey(std::uint64_t epoch,
         .mix(array_config.weightBits)
         .mix(array_config.adcBits);
     h.mix(config.probePeriod)
-        .mixDouble(config.probeThreshold)
         .mixDouble(config.bypassSuspectFraction)
         .mix(config.adcBoostBits);
     return h.digest();
-}
-
-const DegradePlan &
-DegradePlanCache::fetch(std::uint64_t key,
-                        FunctionRef<DegradePlan()> compute)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = plans_.find(key);
-        if (it != plans_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-    // Compute outside the lock: probing is slow and pure, so a racing
-    // duplicate is wasted work, not a correctness hazard.
-    DegradePlan plan = compute();
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = plans_.emplace(key, std::move(plan));
-    if (inserted)
-        ++misses_;
-    else
-        ++hits_;
-    return it->second;
-}
-
-std::uint64_t
-DegradePlanCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-DegradePlanCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-DegradePlanCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return plans_.size();
 }
 
 } // namespace stream

@@ -17,19 +17,19 @@
  *
  * planDegradation() is a pure function of (probe, config): every
  * pipeline worker derives the identical plan independently, so the
- * policy needs no shared mutable state and cannot race.
+ * policy needs no shared mutable state and cannot race. Workers still
+ * share plans, to probe each epoch once: DegradePlanCache is a
+ * ContentCache (core/content_cache.hh) keyed by degradePlanKey().
  */
 
 #ifndef REDEYE_STREAM_DEGRADE_HH
 #define REDEYE_STREAM_DEGRADE_HH
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/function_ref.hh"
+#include "core/content_cache.hh"
 #include "redeye/column.hh"
 #include "stream/probe.hh"
 
@@ -56,8 +56,6 @@ struct DegradationPolicyConfig {
      * mid-run) are caught within one period.
      */
     std::uint64_t probePeriod = 16;
-
-    double probeThreshold = 0.02;  ///< ProbeConfig::threshold
 
     /**
      * Suspect fraction at or above which remapping is hopeless and
@@ -105,41 +103,9 @@ std::uint64_t degradePlanKey(std::uint64_t epoch,
                                  &array_config,
                              const DegradationPolicyConfig &config);
 
-/**
- * Thread-safe, content-addressed cache of degradation plans, shared
- * by every device worker of a pipeline (VisionConfig::planCache):
- * the first worker to reach an epoch probes and plans once; the rest
- * fetch. Entries are never evicted (epochs are few and plans small),
- * so returned references stay valid for the cache's lifetime.
- */
-class DegradePlanCache
-{
-  public:
-    /**
-     * Plan stored under @p key, invoking @p compute to build it on
-     * the first request. @p compute may be expensive (it probes the
-     * array); it runs outside the lock, so two workers racing on a
-     * fresh key may both compute — purity makes the results
-     * identical, and only one is kept.
-     */
-    const DegradePlan &fetch(std::uint64_t key,
-                             FunctionRef<DegradePlan()> compute);
-
-    /** Lookups served from the cache. */
-    std::uint64_t hits() const;
-
-    /** Lookups that had to compute. */
-    std::uint64_t misses() const;
-
-    /** Cached plans. */
-    std::size_t size() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::uint64_t, DegradePlan> plans_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-};
+/** Plans by degradePlanKey(), shared by a pipeline's device workers
+ * (VisionConfig::planCache) and by a fleet's DevicePool. */
+using DegradePlanCache = ContentCache<DegradePlan>;
 
 } // namespace stream
 } // namespace redeye

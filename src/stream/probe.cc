@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/logging.hh"
 #include "nn/conv.hh"
 #include "nn/pool.hh"
 
@@ -15,6 +14,10 @@ namespace {
 
 /** Noise seed shared by the reference and the probed array. */
 constexpr std::uint64_t kProbeSeed = 0x9a0be;
+
+/** Relative per-column error above which a column is a suspect;
+ * errors are normalized by the probe signal's full scale. */
+constexpr double kSuspectThreshold = 0.02;
 
 /**
  * The known test vector: an ascending ramp across the columns on row
@@ -66,10 +69,8 @@ ProbeReport::str() const
 ProbeReport
 runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
                     const fault::FaultModel *faults,
-                    std::uint64_t frame, const ProbeConfig &config)
+                    std::uint64_t frame)
 {
-    fatal_if(config.threshold <= 0.0,
-             "probe threshold must be positive");
     const std::size_t columns = array_config.columns;
 
     const Tensor ramp = probeRamp(columns);
@@ -125,8 +126,8 @@ runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
     // windows whose inputs the conv check already flagged, so a
     // railed neighbour cannot smear onto a healthy comparator.
     for (std::size_t x = 0; x < want.pooled.shape().w; ++x) {
-        if (report.columnError[x] > config.threshold ||
-            report.columnError[x + 1] > config.threshold) {
+        if (report.columnError[x] > kSuspectThreshold ||
+            report.columnError[x + 1] > kSuspectThreshold) {
             continue;
         }
         report.columnError[x] = std::max(
@@ -137,7 +138,7 @@ runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
     }
 
     for (std::size_t x = 0; x < columns; ++x) {
-        if (report.columnError[x] > config.threshold)
+        if (report.columnError[x] > kSuspectThreshold)
             report.suspectColumns.push_back(x);
     }
     return report;

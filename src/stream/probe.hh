@@ -9,7 +9,8 @@
  * full-swing ramp through a unit-weight convolution (exercising the
  * buffered-sample path, the MAC weight bank and the output stage), a
  * small max-pool window (exercising the comparators) and the SAR
- * readout, and flags every column whose error exceeds a threshold.
+ * readout, and flags every column whose error exceeds a fixed
+ * threshold: 2% of the probe signal's full scale.
  *
  * The comparison trick: the reference array and the probed array are
  * seeded identically, and the conv engine keys each output's noise to
@@ -33,15 +34,6 @@
 
 namespace redeye {
 namespace stream {
-
-/** Probe knobs. */
-struct ProbeConfig {
-    /**
-     * Relative per-column error above which a column is a suspect.
-     * Errors are normalized by the probe signal's full scale.
-     */
-    double threshold = 0.02;
-};
 
 /** What the probe measured. */
 struct ProbeReport {
@@ -67,8 +59,7 @@ struct ProbeReport {
 ProbeReport runCalibrationProbe(const arch::ColumnArrayConfig
                                     &array_config,
                                 const fault::FaultModel *faults,
-                                std::uint64_t frame,
-                                const ProbeConfig &config = {});
+                                std::uint64_t frame);
 
 } // namespace stream
 } // namespace redeye

@@ -1,7 +1,6 @@
 #include "stream/vision.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <thread>
 
@@ -86,10 +85,6 @@ struct DeviceWorker {
         array.convSnrDb = cfg.convSnrDb;
         array.weightBits = cfg.weightBits;
         array.adcBits = cfg.adcBits;
-        // Fallback for direct construction outside makeVisionStages
-        // (which installs a pipeline-shared instance).
-        if (cfg.degrade.enabled && !cfg.planCache)
-            cfg.planCache = std::make_shared<DegradePlanCache>();
     }
 
     /**
@@ -105,11 +100,9 @@ struct DeviceWorker {
         const std::uint64_t epoch = index / cfg.degrade.probePeriod;
         return cfg.planCache->fetch(
             degradePlanKey(epoch, array, cfg.degrade), [&] {
-                ProbeConfig pc;
-                pc.threshold = cfg.degrade.probeThreshold;
                 const ProbeReport probe = runCalibrationProbe(
                     array, cfg.faults.get(),
-                    epoch * cfg.degrade.probePeriod, pc);
+                    epoch * cfg.degrade.probePeriod);
                 return planDegradation(probe, array, cfg.degrade);
             });
     }

@@ -33,7 +33,8 @@ OpModelCache::OpModelCache(nn::Network &net,
 }
 
 OpModel
-OpModelCache::build(const OperatingPoint &op) const
+deviceModel(nn::Network &net, arch::ProgramCache &programs,
+            const OperatingPoint &op, unsigned adc_boost_bits)
 {
     OpModel m;
     m.op = op;
@@ -46,8 +47,7 @@ OpModelCache::build(const OperatingPoint &op) const
     device.convSnrDb = op.snrDb;
     device.columns = models::kMiniInputSize;
 
-    auto prog =
-        programs_->compileOrStatus(net_, analog_layers, device);
+    auto prog = programs.compileOrStatus(net, analog_layers, device);
     fatal_if(!prog.ok(), "operating point ", op.str(),
              " does not compile: ", prog.status().message());
     m.program = std::move(prog.value());
@@ -58,9 +58,8 @@ OpModelCache::build(const OperatingPoint &op) const
                     .energy.totalJ();
 
     arch::RedEyeConfig remap_cfg = device;
-    remap_cfg.adcBits += config_.adcBoostBits;
-    auto remap =
-        programs_->compileOrStatus(net_, analog_layers, remap_cfg);
+    remap_cfg.adcBits += adc_boost_bits;
+    auto remap = programs.compileOrStatus(net, analog_layers, remap_cfg);
     fatal_if(!remap.ok(), "remap variant of ", op.str(),
              " does not compile: ", remap.status().message());
     m.remapProgram = std::move(remap.value());
@@ -70,14 +69,21 @@ OpModelCache::build(const OperatingPoint &op) const
     m.remapAnalogJ = arch::RedEyeModel(*m.remapProgram, remap_cfg)
                          .estimateFrame()
                          .energy.totalJ();
+    return m;
+}
+
+OpModel
+OpModelCache::build(const OperatingPoint &op) const
+{
+    OpModel m = deviceModel(net_, *programs_, op, config_.adcBoostBits);
 
     // Calibrate the Jetson GPU's MACs->time line once from the
     // paper's two measured anchors (full network, depth-5 tail), then
     // evaluate at *this* cut's tail — so moving layers into analog
     // really shrinks the modeled digital spend, which is the whole
     // energy argument for the depth knob.
-    const double tail_macs = static_cast<double>(
-        models::digitalTailMacs(net_, analog_layers));
+    const double tail_macs = static_cast<double>(models::digitalTailMacs(
+        net_, models::miniGoogLeNetAnalogLayers(op.depth)));
     sys::JetsonTk1 host(sys::JetsonParams::paper(
         sys::JetsonProcessor::GPU, fullMacs_, depth5TailMacs_));
     m.hostTailS = host.executionTimeS(tail_macs);
@@ -90,29 +96,8 @@ OpModelCache::build(const OperatingPoint &op) const
 const OpModel &
 OpModelCache::fetch(const OperatingPoint &op)
 {
-    const std::uint64_t key = operatingPointKey(op);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = models_.find(key);
-        if (it != models_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-
-    // Build outside the lock (compiling is slow); two threads racing
-    // on a fresh key both build, purity makes the results equal, and
-    // only the first insert is kept. Same contract as
-    // stream::DegradePlanCache.
-    OpModel model = build(op);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = models_.emplace(key, std::move(model));
-    if (inserted)
-        ++misses_;
-    else
-        ++hits_;
-    return it->second;
+    return models_.fetch(operatingPointKey(op),
+                         [&] { return build(op); });
 }
 
 OpCost
@@ -136,27 +121,6 @@ OpModelCache::costFor(const OperatingPoint &op,
         break;
     }
     return cost;
-}
-
-std::uint64_t
-OpModelCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-OpModelCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-OpModelCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return models_.size();
 }
 
 } // namespace tune

@@ -9,7 +9,9 @@
  * Jetson TK1 GPU (system/jetson.hh). OpModelCache derives all of
  * those numbers once per distinct operating point, compiling through
  * the *shared* ProgramCache, and keeps them under the operating
- * point's stable key (operatingPointKey).
+ * point's stable key (operatingPointKey). The device half comes from
+ * deviceModel(), which the fleet engine's class models call too; only
+ * the host halves differ (DESIGN.md §11).
  *
  * This is the cache re-keying half of the auto-tuner's contract: an
  * operating-point change makes the session's next lookup miss and
@@ -29,11 +31,9 @@
 #define REDEYE_TUNE_OP_MODEL_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <vector>
 
+#include "core/content_cache.hh"
 #include "redeye/compiler.hh"
 #include "stream/degrade.hh"
 #include "tune/operating_point.hh"
@@ -73,7 +73,16 @@ struct OpCost {
     double timeS = 0.0;   ///< unloaded service time per frame
 };
 
-/** Thread-safe cache of OpModels keyed by operatingPointKey(). */
+/**
+ * The device half of @p op's serving model: the program, then its
+ * Remap variant (ADC raised by @p adc_boost_bits), compiled through
+ * @p programs and priced by schedule and energy model. Host fields
+ * stay zero. A non-compilable operating point is fatal.
+ */
+OpModel deviceModel(nn::Network &net, arch::ProgramCache &programs,
+                    const OperatingPoint &op, unsigned adc_boost_bits);
+
+/** OpModels under operatingPointKey() (core/content_cache.hh). */
 class OpModelCache
 {
   public:
@@ -113,9 +122,9 @@ class OpModelCache
     OpCost costFor(const OperatingPoint &op,
                    stream::DegradeMode mode);
 
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::size_t size() const;
+    std::uint64_t hits() const { return models_.hits(); }
+    std::uint64_t misses() const { return models_.misses(); }
+    std::size_t size() const { return models_.size(); }
 
     const arch::ProgramCache &programs() const { return *programs_; }
 
@@ -127,11 +136,7 @@ class OpModelCache
     Config config_;
     double fullMacs_ = 0.0;
     double depth5TailMacs_ = 0.0; ///< paper calibration anchor
-
-    mutable std::mutex mutex_;
-    std::map<std::uint64_t, OpModel> models_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    ContentCache<OpModel> models_;
 };
 
 } // namespace tune

@@ -200,6 +200,18 @@ TEST(FleetEngineTest, RejectsNegativeWindow)
                 "windowS");
 }
 
+TEST(FleetEngineTest, RejectsChaosWithoutFaultTolerance)
+{
+    // Only the fault-tolerance layer schedules chaos; with it off the
+    // kill would be silently dropped.
+    FleetConfig cfg = smallFleet();
+    ChaosEvent kill;
+    kill.timeS = 0.1;
+    cfg.chaos.push_back(kill);
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "chaos needs ft\\.enabled");
+}
+
 TEST(FleetEngineTest, ContentPredictionsMatchAtAnyThreadCount)
 {
     // The expensive test: the flagged sessions run the real vision

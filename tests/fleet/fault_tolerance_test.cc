@@ -3,9 +3,9 @@
  * Tests for the fleet fault-tolerance layer: chaos-schedule
  * terminality, quarantine/recovery/retire lifecycle, error-threshold
  * detection, retry/hedge accounting and its session -> class ->
- * fleet aggregation, the retry-attempt bound, brownout band and
- * probe-period checks, brownout shedding, and the determinism of all
- * of it.
+ * fleet aggregation, the retry-attempt bound, brownout band,
+ * probe-period and chaos-target checks, brownout shedding, and the
+ * determinism of all of it.
  */
 
 #include <array>
@@ -372,6 +372,15 @@ TEST(FaultToleranceTest, RejectsNegativeProbePeriod)
     cfg.ft.probePeriodS = -1.0;
     EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
                 "ft.probePeriodS");
+}
+
+TEST(FaultToleranceTest, RejectsChaosTargetOutsidePool)
+{
+    // Caught at construction, not when run() reaches the schedule.
+    FleetConfig cfg = chaosFleet();
+    cfg.chaos[1].device = cfg.pool.devices;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "chaos\\[1\\]\\.device");
 }
 
 TEST(FaultToleranceTest, DeviceKilledOutrightIsRetired)

@@ -120,14 +120,6 @@ TEST(ProbeTest, OnsetGatesDetection)
     EXPECT_EQ(after.suspectColumns.size(), kColumns) << after.str();
 }
 
-TEST(ProbeDeathTest, RejectsBadThreshold)
-{
-    ProbeConfig pc;
-    pc.threshold = 0.0;
-    EXPECT_EXIT(runCalibrationProbe(makeConfig(), nullptr, 0, pc),
-                ::testing::ExitedWithCode(1), "threshold");
-}
-
 } // namespace
 } // namespace stream
 } // namespace redeye
