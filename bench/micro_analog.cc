@@ -3,7 +3,8 @@
  * Microbenchmarks of the analog circuit primitives, plus the Section
  * IV-A ablation: charge-sharing tunable capacitor versus the naive
  * binary-weighted MAC sampling array (the 32x energy claim), and the
- * column array's two conv engines on MiniGoogLeNet's conv1 shape.
+ * column array's two engines for each stage on MiniGoogLeNet's conv1,
+ * pool1 and 4-bit readout shapes.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "analog/tunable_cap.hh"
 #include "core/rng.hh"
 #include "nn/conv.hh"
+#include "nn/pool.hh"
 #include "redeye/column.hh"
 
 using namespace redeye;
@@ -139,6 +141,73 @@ BM_ColumnConvolution(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ColumnConvolution)
+    ->ArgName("closed_form")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/** Rectified conv1 output (32 x 32 x 32), as pool1 receives it. */
+Tensor
+conv1Output()
+{
+    Rng rng(10);
+    nn::ConvolutionLayer conv("conv1", nn::ConvParams::square(32, 5, 1, 2));
+    Tensor x(Shape(1, 3, 32, 32));
+    x.fillUniform(rng, 0.0f, 1.0f);
+    (void)conv.outputShape({x.shape()});
+    conv.initHe(rng);
+    arch::ColumnArrayConfig cfg;
+    arch::ColumnArray array(cfg, ProcessParams::typical(), Rng(11));
+    return array.runConvolution(x, conv, true);
+}
+
+const nn::MaxPoolLayer kPool1("pool1", nn::PoolParams{3, 2, 0});
+
+/**
+ * One pool1 call (32 x 32 x 32 -> 32 x 16 x 16, 3x3 stride 2, ceil
+ * mode): arg 0 the per-decision reference engine, arg 1 the closed
+ * form.
+ */
+void
+BM_ColumnMaxPool(benchmark::State &state)
+{
+    const bool closed_form = state.range(0) != 0;
+    const Tensor c = conv1Output();
+    arch::ColumnArrayConfig cfg;
+    arch::ColumnArray array(cfg, ProcessParams::typical(), Rng(12));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            closed_form ? array.runMaxPool(c, kPool1)
+                        : array.runMaxPoolReference(c, kPool1));
+    }
+    state.SetLabel(closed_form ? "closed-form" : "reference");
+}
+BENCHMARK(BM_ColumnMaxPool)
+    ->ArgName("closed_form")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * One 4-bit readout of pool1's output (32 x 16 x 16): arg 0 the
+ * per-conversion reference engine, arg 1 the closed form.
+ */
+void
+BM_ColumnQuantization(benchmark::State &state)
+{
+    const bool closed_form = state.range(0) != 0;
+    arch::ColumnArrayConfig cfg;
+    cfg.adcBits = 4;
+    arch::ColumnArray array(cfg, ProcessParams::typical(), Rng(13));
+    const Tensor p = array.runMaxPool(conv1Output(), kPool1);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            closed_form ? array.runQuantization(p)
+                        : array.runQuantizationReference(p));
+    }
+    state.SetLabel(closed_form ? "closed-form" : "reference");
+}
+BENCHMARK(BM_ColumnQuantization)
     ->ArgName("closed_form")
     ->Arg(0)
     ->Arg(1)

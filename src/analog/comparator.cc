@@ -2,12 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 
 #include "core/logging.hh"
 #include "core/rng.hh"
 
 namespace redeye {
 namespace analog {
+
+namespace {
+
+/**
+ * E[ln(1 / z) | z > z_m] for z = |n| / sigma, n ~ N(0, sigma), by
+ * Simpson's rule in u = ln z, where the integrand u e^u phi(e^u) is
+ * smooth. It is negligible above z = 40, and below u = -40 (z_m ~
+ * 4e-18) its remainder is under 1e-15.
+ */
+double
+meanLogInverseAbove(double z_m)
+{
+    constexpr int kIntervals = 128; // even
+    const double lo = std::max(-40.0, std::log(z_m));
+    const double hi = std::log(40.0);
+    if (lo >= hi)
+        return -hi;
+    const double h = (hi - lo) / kIntervals;
+    double sum = 0.0;
+    for (int j = 0; j <= kIntervals; ++j) {
+        const double u = lo + h * j;
+        const double z = std::exp(u);
+        const double f = u * z * std::exp(-0.5 * z * z);
+        sum += f * (j == 0 || j == kIntervals ? 1 : (j % 2 ? 4 : 2));
+    }
+    // Normalizers cancel: both integrals carry phi's 1/sqrt(2 pi),
+    // and the tail mass is erfc(z_m / sqrt 2) / 2 in those units.
+    const double integral = sum * h / 3.0;
+    const double tail = 0.5 * std::erfc(z_m / std::sqrt(2.0)) *
+                        std::sqrt(2.0 * std::numbers::pi);
+    return -integral / tail;
+}
+
+} // namespace
 
 DynamicComparator::DynamicComparator(ComparatorParams params,
                                      const ProcessParams &process)
@@ -58,20 +93,15 @@ DynamicComparator::timeoutEnergy() const
 }
 
 Decision
-DynamicComparator::compare(double a, double b, Rng &rng)
+DynamicComparator::settle(double noisy_delta) const
 {
     Decision d;
-    const double noisy_delta = (a - b) +
-                               rng.gaussian(0.0,
-                                            params_.inputNoiseRms);
     const double t = decisionTime(noisy_delta);
-
     if (t >= params_.timeoutS) {
         // Forced arbitrary decision at the deadline.
         d.forced = true;
         d.timeS = params_.timeoutS;
         d.energyJ = timeoutEnergy();
-        d.aGreater = rng.bernoulli(0.5);
     } else {
         d.timeS = t;
         const double extra = params_.metastableCurrentA *
@@ -80,12 +110,83 @@ DynamicComparator::compare(double a, double b, Rng &rng)
         d.energyJ = params_.energyPerDecisionJ + std::max(0.0, extra);
         d.aGreater = noisy_delta > 0.0;
     }
-
-    energyJ_ += d.energyJ;
-    ++decisionCount_;
-    if (d.forced)
-        ++forcedCount_;
     return d;
+}
+
+Decision
+DynamicComparator::compare(double a, double b, Rng &rng)
+{
+    Decision d = settle((a - b) + rng.gaussian(0.0,
+                                               params_.inputNoiseRms));
+    if (d.forced)
+        d.aGreater = rng.bernoulli(0.5);
+    accrue(1, d.forced ? 1 : 0, d.energyJ);
+    return d;
+}
+
+DecisionConstants
+DynamicComparator::decisionConstants() const
+{
+    const double sigma = params_.inputNoiseRms;
+    const double m = metastableDeltaV();
+    DecisionConstants k;
+    k.band = m + 8.0 * sigma;
+    k.swing = process_.signalSwing;
+    k.forcedJ = timeoutEnergy();
+    k.nominalJ = nominalEnergy();
+    k.regenJ = params_.metastableCurrentA * process_.supplyVoltage *
+               params_.regenTauS / process_.speedFactor;
+    if (sigma > 0.0) {
+        k.tieForcedP = std::erf(m / (sigma * std::sqrt(2.0)));
+        k.tieJ = k.nominalJ +
+                 k.regenJ * (std::log(k.swing / sigma) +
+                             meanLogInverseAbove(m / sigma));
+    } else {
+        // A noiseless tie never regenerates.
+        k.tieForcedP = 1.0;
+        k.tieJ = k.forcedJ;
+    }
+    return k;
+}
+
+void
+DynamicComparator::accrue(std::size_t decisions, std::size_t forced,
+                          double energy_j)
+{
+    energyJ_ += energy_j;
+    decisionCount_ += decisions;
+    forcedCount_ += forced;
+}
+
+bool
+DecisionBatch::decideNearTie(double delta, std::uint64_t counter)
+{
+    Decision d = cmp_->settle(delta + cmp_->params().inputNoiseRms *
+                                          keyedGaussian(key_, counter));
+    if (d.forced) {
+        // Box-Muller reads the top 53 bits of this hash; the coin is
+        // its low bit.
+        d.aGreater = (keyedBits(key_, 2 * counter) & 1) != 0;
+        ++nearForced_;
+    }
+    ++near_;
+    nearJ_ += d.energyJ;
+    return d.aGreater;
+}
+
+void
+DecisionBatch::accrue()
+{
+    const double nepers =
+        static_cast<double>(logged_) * std::log(k_.swing) -
+        (std::log(margins_) + marginExp_ * std::numbers::ln2);
+    const double energy =
+        static_cast<double>(far_) * k_.nominalJ + k_.regenJ * nepers +
+        static_cast<double>(tiesForced_) * k_.forcedJ +
+        static_cast<double>(ties_ - tiesForced_) * k_.tieJ + nearJ_;
+    cmp_->accrue(far_ + ties_ + near_, tiesForced_ + nearForced_,
+                 energy);
+    *this = DecisionBatch(*cmp_, k_, key_);
 }
 
 } // namespace analog

@@ -15,8 +15,8 @@ SarAdc::SarAdc(SarAdcParams params, const ProcessParams &process,
     : params_(params), process_(process),
       comparator_(params.comparator, process), bits_(params.maxBits)
 {
-    fatal_if(params_.maxBits < 1 || params_.maxBits > 16,
-             "SAR resolution must be in [1, 16], got ",
+    fatal_if(params_.maxBits < 1 || params_.maxBits > kMaxResolution,
+             "SAR resolution must be in [1, ", kMaxResolution, "], got ",
              params_.maxBits);
 
     // Draw this instance's binary-weighted array with Pelgrom
@@ -76,6 +76,42 @@ SarAdc::convert(double v_in, Rng &rng)
     energyJ_ += comparator_.energyJ();
     comparator_.resetEnergy();
     return code;
+}
+
+void
+SarAdc::convertKeyed(std::span<const double> volts,
+                     std::span<std::uint32_t> codes,
+                     const DecisionConstants &k, std::uint64_t key,
+                     std::uint64_t first)
+{
+    panic_if(codes.size() != volts.size(), "convertKeyed: ",
+             volts.size(), " inputs but ", codes.size(), " codes");
+    const double c_sigma = totalCapF();
+    double threshold[kMaxResolution];
+    for (unsigned i = 0; i < bits_; ++i)
+        threshold[i] = vref() * capsF_[i] / c_sigma;
+
+    DecisionBatch batch(comparator_, k, key);
+    for (std::size_t j = 0; j < volts.size(); ++j) {
+        const double v = std::clamp(volts[j], 0.0, vref());
+        const std::uint64_t base = (first + j) * kMaxResolution;
+        std::uint32_t code = 0;
+        double dac = 0.0; // voltage of the bits switched to Vref
+        for (unsigned i = bits_; i-- > 0;) {
+            const double trial = dac + threshold[i];
+            if (batch.decide(v - trial, base + i)) {
+                code |= 1u << i;
+                dac = trial;
+            }
+        }
+        codes[j] = code;
+    }
+    batch.accrue();
+
+    energyJ_ += static_cast<double>(volts.size()) *
+                params_.switchingAlpha * c_sigma * vref() * vref();
+    energyJ_ += comparator_.energyJ();
+    comparator_.resetEnergy();
 }
 
 double

@@ -10,7 +10,9 @@
  * The model includes:
  *  - real successive-approximation search over a per-instance
  *    mismatched capacitor array (systematic INL/DNL),
- *  - comparator noise per bit cycle (random error),
+ *  - comparator noise per bit cycle (random error), replayed per
+ *    decision by convert() or drawn only where it can change a bit
+ *    by convertKeyed() (DESIGN.md §15),
  *  - array switching energy proportional to C_sigma = 2^n C0
  *    (the exponential energy-per-bit tradeoff of Section II-B),
  *  - ENOB measurement, used as the behavioral noise parameter
@@ -22,6 +24,7 @@
 #define REDEYE_ANALOG_SAR_ADC_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analog/comparator.hh"
@@ -68,6 +71,27 @@ class SarAdc
      */
     std::uint32_t convert(double v_in, Rng &rng);
 
+    /**
+     * Closed-form conversion of many inputs: codes[j] is distributed
+     * as convert(volts[j]) is, and the energy and decision counts are
+     * those of volts.size() convert() calls. The search runs on the
+     * noiseless voltage against the thresholds vref C_i / C_sigma,
+     * computed once per call, through a DecisionBatch with constants
+     * @p k; bit b (0 = LSB) of input j is decision
+     * (first + j) * kMaxResolution + b under @p key.
+     */
+    void convertKeyed(std::span<const double> volts,
+                      std::span<std::uint32_t> codes,
+                      const DecisionConstants &k, std::uint64_t key,
+                      std::uint64_t first);
+
+    /** Closed-form decision constants of this ADC's comparator. */
+    DecisionConstants
+    decisionConstants() const
+    {
+        return comparator_.decisionConstants();
+    }
+
     /** Ideal mid-rise reconstruction of a code to volts. */
     double reconstruct(std::uint32_t code) const;
 
@@ -91,7 +115,16 @@ class SarAdc
 
     void resetEnergy() { energyJ_ = 0.0; }
 
+    /** Bit decisions forced by the comparator's timeout. */
+    std::size_t forcedCount() const { return comparator_.forcedCount(); }
+
+    /** Zero the comparator's decision and forced counts. */
+    void resetCounts() { comparator_.resetCounts(); }
+
     const SarAdcParams &adcParams() const { return params_; }
+
+    /** Highest supported physical resolution. */
+    static constexpr unsigned kMaxResolution = 16;
 
   private:
     SarAdcParams params_;

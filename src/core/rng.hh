@@ -155,17 +155,27 @@ streamRng(std::uint64_t seed, std::uint64_t pass, std::uint64_t item)
 }
 
 /**
+ * Counter-keyed 64 random bits: a pure function of (@p key,
+ * @p counter). The hash every counter-keyed draw is built from.
+ */
+inline std::uint64_t
+keyedBits(std::uint64_t key, std::uint64_t counter)
+{
+    return splitmix64(key ^ splitmix64(counter));
+}
+
+/**
  * Counter-keyed standard normal: a pure function of (@p key,
- * @p counter). Two splitmix64 hashes of the pair give two 53-bit
- * uniforms, and Box–Muller turns them into one N(0, 1) sample.
- * Distinct counters under one key give independent draws.
+ * @p counter). The hashes keyedBits(key, 2 counter) and
+ * keyedBits(key, 2 counter + 1) give two 53-bit uniforms, and
+ * Box–Muller turns them into one N(0, 1) sample. Distinct counters
+ * under one key give independent draws.
  */
 inline double
 keyedGaussian(std::uint64_t key, std::uint64_t counter)
 {
-    const std::uint64_t h1 = splitmix64(key ^ splitmix64(2 * counter));
-    const std::uint64_t h2 =
-        splitmix64(key ^ splitmix64(2 * counter + 1));
+    const std::uint64_t h1 = keyedBits(key, 2 * counter);
+    const std::uint64_t h2 = keyedBits(key, 2 * counter + 1);
     // u1 in (0, 1] keeps the logarithm finite; u2 in [0, 1).
     const double u1 = static_cast<double>((h1 >> 11) + 1) * 0x1p-53;
     const double u2 = static_cast<double>(h2 >> 11) * 0x1p-53;

@@ -99,16 +99,16 @@ struct WeightBank {
 /** Per output column: how its serving column alters the result. */
 struct OutColumn {
     std::size_t bank = 0;
-    double offsetV = 0.0;
+    double offsetV = 0.0; ///< MAC output offset, or comparator offset
     bool dead = false;
 };
 
 /**
- * Buffers of the closed-form engine, one set per thread and kept
+ * Buffers of the closed-form engines, one set per thread and kept
  * across calls: the serving path builds a device per frame, so
  * buffers owned by the array would be reallocated every frame.
  */
-struct ConvScratch {
+struct Scratch {
     std::vector<int> wq;             ///< quantized kernel [M x K]
     std::vector<float> pixels;       ///< staged frame [C x H x W]
     std::vector<float> cols;         ///< its lowering [K x P]
@@ -116,13 +116,16 @@ struct ConvScratch {
     std::vector<double> readVar;     ///< per input column, relative
     std::vector<OutColumn> outCols;  ///< per output column
     std::vector<WeightBank> banks = std::vector<WeightBank>(1);
+    std::vector<double> volts;       ///< one column's ADC inputs [V]
+    std::vector<std::uint32_t> codes; ///< one column's ADC codes
+    std::vector<analog::DecisionBatch> decisions; ///< per out column
 };
 
-ConvScratch &
-convScratch()
+Scratch &
+scratch()
 {
-    thread_local ConvScratch scratch;
-    return scratch;
+    thread_local Scratch s;
+    return s;
 }
 
 } // namespace
@@ -222,7 +225,7 @@ ColumnArray::runConvolution(const Tensor &in,
     const WindowParams window{p.kernelH, p.kernelW, p.strideH,
                               p.strideW, p.padH,    p.padW};
     const double swing = process_.signalSwing;
-    ConvScratch &s = convScratch();
+    Scratch &s = scratch();
     s.cols.resize(taps * positions);
     // Lower a (C, H, W) frame into s.cols.
     const auto lower = [&](const float *frame) {
@@ -535,6 +538,92 @@ ColumnArray::runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer)
     const double swing = process_.signalSwing;
     const double in_scale = std::max(1e-12,
                                      static_cast<double>(in.absMax()));
+    const double to_volts = swing / in_scale;
+    Scratch &s = scratch();
+
+    // Output column ox decides on its serving column's comparator; a
+    // latch offset shifts the decision margin, not the routed signal.
+    const analog::DecisionConstants k =
+        cols_.front().comparator.decisionConstants();
+    const std::uint64_t key = rng_.raw();
+    s.outCols.assign(os.w, OutColumn{});
+    s.decisions.clear();
+    for (std::size_t ox = 0; ox < os.w; ++ox) {
+        const std::size_t pcol = physicalFor(ox);
+        if (const fault::ColumnFaults *f = activeFaults(pcol)) {
+            s.outCols[ox].offsetV = f->comparatorOffsetV;
+            s.outCols[ox].dead = f->dead;
+        }
+        s.decisions.emplace_back(cols_[pcol].comparator, k, key);
+    }
+
+    // Decision d of output i is counter i * slots + d.
+    const std::uint64_t slots = p.kernel * p.kernel;
+    Tensor out(Shape(1, os.c, os.h, os.w));
+    for (std::size_t oc = 0; oc < os.c; ++oc) {
+        const float *plane = in.data() + oc * is.h * is.w;
+        for (std::size_t oy = 0; oy < os.h; ++oy) {
+            for (std::size_t ox = 0; ox < os.w; ++ox) {
+                const std::size_t i = (oc * os.h + oy) * os.w + ox;
+                const OutColumn &c = s.outCols[ox];
+                analog::DecisionBatch &batch = s.decisions[ox];
+                std::uint64_t counter = i * slots;
+                bool have = false;
+                double best = 0.0;
+                for (std::size_t ky = 0; ky < p.kernel; ++ky) {
+                    const long iy = static_cast<long>(oy * p.stride +
+                                                      ky) -
+                                    static_cast<long>(p.pad);
+                    if (iy < 0 || iy >= static_cast<long>(is.h))
+                        continue;
+                    const float *row =
+                        plane + static_cast<std::size_t>(iy) * is.w;
+                    for (std::size_t kx = 0; kx < p.kernel; ++kx) {
+                        const long ix = static_cast<long>(
+                                            ox * p.stride + kx) -
+                                        static_cast<long>(p.pad);
+                        if (ix < 0 || ix >= static_cast<long>(is.w))
+                            continue;
+                        const double v = row[ix] * to_volts;
+                        if (!have) {
+                            best = v;
+                            have = true;
+                            continue;
+                        }
+                        // Equal candidates route one value whichever
+                        // way the decision goes: charge it, and keep
+                        // its outcome off the routing.
+                        const double delta = (v + c.offsetV) - best;
+                        if (v == best)
+                            batch.decide(delta, counter++);
+                        else if (batch.decide(delta, counter++))
+                            best = v;
+                    }
+                }
+                if (c.dead)
+                    best = swing; // railed column
+                out[i] = static_cast<float>(best * in_scale / swing);
+            }
+        }
+    }
+    for (analog::DecisionBatch &batch : s.decisions)
+        batch.accrue();
+    s.decisions.clear(); // they point into this array
+    return out;
+}
+
+Tensor
+ColumnArray::runMaxPoolReference(const Tensor &in,
+                                 const nn::MaxPoolLayer &layer)
+{
+    const Shape &is = in.shape();
+    fatal_if(is.n != 1, "functional engine runs one frame at a time");
+    const Shape os = layer.outputShape({is});
+    const auto &p = layer.poolParams();
+
+    const double swing = process_.signalSwing;
+    const double in_scale = std::max(1e-12,
+                                     static_cast<double>(in.absMax()));
 
     Tensor out(Shape(1, os.c, os.h, os.w));
     for (std::size_t oc = 0; oc < os.c; ++oc) {
@@ -598,6 +687,56 @@ ColumnArray::runQuantization(const Tensor &in)
     // range [0, vref].
     const double in_max = std::max(1e-12,
                                    static_cast<double>(in.absMax()));
+    const analog::DecisionConstants k =
+        cols_.front().adc.decisionConstants();
+    const std::uint64_t key = rng_.raw();
+    // Column x converts its n elements (c, y) as one batch; element
+    // (c, y, x) is numbered x * n + c * H + y in the decision keys.
+    const std::size_t n = is.c * is.h;
+    Scratch &s = scratch();
+    s.volts.resize(n);
+    s.codes.resize(n);
+    Tensor out(is);
+    for (std::size_t x = 0; x < is.w; ++x) {
+        const std::size_t pcol = physicalFor(x);
+        analog::SarAdc &adc = cols_[pcol].adc;
+        const fault::ColumnFaults *cf = activeFaults(pcol);
+        for (std::size_t j = 0; j < n; ++j) {
+            const double v =
+                std::max(0.0, static_cast<double>(in[j * is.w + x]));
+            s.volts[j] = cf && cf->dead ? adc.vref() // railed input
+                                        : v / in_max * adc.vref();
+        }
+        adc.convertKeyed(s.volts, s.codes, k, key, x * n);
+        // A frozen SAR bit applies after the search; only bits the
+        // programmed resolution keeps in the array can stick.
+        std::uint32_t set = 0;
+        std::uint32_t keep = ~0u;
+        if (cf && cf->adcStuckBit >= 0 &&
+            cf->adcStuckBit < static_cast<int>(adc.resolution())) {
+            const std::uint32_t mask = 1u << cf->adcStuckBit;
+            set = cf->adcStuckHigh ? mask : 0u;
+            keep = ~mask;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint32_t code = (s.codes[j] & keep) | set;
+            out[j * is.w + x] = static_cast<float>(
+                adc.reconstruct(code) / adc.vref() * in_max);
+        }
+    }
+    return out;
+}
+
+Tensor
+ColumnArray::runQuantizationReference(const Tensor &in)
+{
+    const Shape &is = in.shape();
+    fatal_if(is.n != 1, "functional engine runs one frame at a time");
+
+    // Rectified features are non-negative; map [0, max] onto the ADC
+    // range [0, vref].
+    const double in_max = std::max(1e-12,
+                                   static_cast<double>(in.absMax()));
     Tensor out(is);
     for (std::size_t c = 0; c < is.c; ++c) {
         for (std::size_t y = 0; y < is.h; ++y) {
@@ -652,7 +791,9 @@ ColumnArray::resetEnergy()
         col.mac.resetEnergy();
         col.buffer.resetEnergy();
         col.comparator.resetEnergy();
+        col.comparator.resetCounts();
         col.adc.resetEnergy();
+        col.adc.resetCounts();
     }
 }
 
@@ -661,7 +802,7 @@ ColumnArray::forcedDecisions() const
 {
     std::size_t total = 0;
     for (const auto &col : cols_)
-        total += col.comparator.forcedCount();
+        total += col.comparator.forcedCount() + col.adc.forcedCount();
     return total;
 }
 

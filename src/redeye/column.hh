@@ -14,12 +14,14 @@
  * the ConvNet?) and for measuring realized SNR against the
  * noise-layer abstraction.
  *
- * Convolution has two engines. runConvolutionReference() replays
- * every tap through the circuit models, one random draw at a time.
- * runConvolution() realizes the same output distribution in closed
- * form: GEMMs give each output's noiseless charge and its noise
- * variance, and one counter-keyed Gaussian per output supplies the
- * noise (DESIGN.md §15).
+ * Each stage has two engines. The *Reference() oracles replay every
+ * tap and every comparator decision through the circuit models, one
+ * random draw at a time. The served engines realize the same output
+ * distribution in closed form (DESIGN.md §15): for convolution, GEMMs
+ * give each output's noiseless charge and its noise variance, and one
+ * counter-keyed Gaussian per output supplies the noise; max pooling
+ * and SAR readout decide on noiseless margins and draw keyed noise
+ * only for decisions it can change.
  */
 
 #ifndef REDEYE_REDEYE_COLUMN_HH
@@ -87,14 +89,39 @@ class ColumnArray
                                    nn::ConvolutionLayer &layer,
                                    bool rectify);
 
-    /** Execute max pooling through the comparator circuits. */
+    /**
+     * Execute max pooling through the comparator circuits, in closed
+     * form: each window decision is keyed by this call's base (one
+     * draw from the array's Rng) and (output index, decision
+     * ordinal), and draws noise only within the comparator's band
+     * (analog::DecisionBatch). Energy and forced counts are charged
+     * to each output's serving comparator.
+     */
     Tensor runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer);
 
     /**
+     * The per-decision engine: every comparison draws its own noise
+     * from the array's Rng. Kept as the test oracle runMaxPool() is
+     * checked against.
+     */
+    Tensor runMaxPoolReference(const Tensor &in,
+                               const nn::MaxPoolLayer &layer);
+
+    /**
      * Quantize through the per-column SAR ADCs and reconstruct to
-     * value domain (what the host receives after bit alignment).
+     * value domain (what the host receives after bit alignment). In
+     * closed form: each column converts its elements with
+     * analog::SarAdc::convertKeyed under this call's base (one draw
+     * from the array's Rng).
      */
     Tensor runQuantization(const Tensor &in);
+
+    /**
+     * The per-conversion engine: every bit decision draws its own
+     * noise from the array's Rng. Kept as the test oracle
+     * runQuantization() is checked against.
+     */
+    Tensor runQuantizationReference(const Tensor &in);
 
     /** Reprogram the noise admission of the conv modules. */
     void setConvSnrDb(double snr_db);
@@ -131,9 +158,14 @@ class ColumnArray
     /** Accrued energy by category since the last reset. */
     EnergyBreakdown energy() const;
 
+    /** Zero the accrued energy and the forced-decision count. */
     void resetEnergy();
 
-    /** Comparator decisions forced by the metastability timeout. */
+    /**
+     * Comparator decisions forced by the metastability timeout since
+     * the last resetEnergy(): max-pooling comparisons and SAR bit
+     * decisions.
+     */
     std::size_t forcedDecisions() const;
 
     const ColumnArrayConfig &config() const { return config_; }

@@ -36,6 +36,8 @@ namespace arch {
 struct DeviceRun {
     Tensor features;      ///< quantized cut tensor (value domain)
     EnergyBreakdown energy;
+    /** Comparator decisions the timeout forced during this run, in
+     * max pooling and SAR readout. */
     std::size_t forcedDecisions = 0;
     std::vector<std::string> executedLayers;
 };

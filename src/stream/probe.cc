@@ -84,10 +84,10 @@ runCalibrationProbe(const arch::ColumnArrayConfig &array_config,
 
     nn::MaxPoolLayer pool("probe/pool", nn::PoolParams{2, 1, 0});
 
-    // Identically seeded arrays realize identical noise: the conv
-    // engine keys each output's noise to its index, so a healthy
-    // column's output is bit-identical in both and the difference
-    // below is purely the fault contribution.
+    // Identically seeded arrays realize identical noise: the conv,
+    // pooling and readout engines key every draw to the output's own
+    // index, so a healthy column's outputs are bit-identical in both
+    // and the difference below is purely the fault contribution.
     const auto process = analog::ProcessParams::typical();
     arch::ColumnArray reference(array_config, process, Rng(kProbeSeed));
     arch::ColumnArray probed(array_config, process, Rng(kProbeSeed));

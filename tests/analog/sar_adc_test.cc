@@ -1,6 +1,7 @@
 /** @file Tests for the variable-resolution SAR ADC. */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,76 @@ TEST(SarAdcTest, ConversionAccruesEnergy)
     adc.resetEnergy();
     adc.convert(0.3, rng);
     EXPECT_GT(adc.energyJ(), 0.0);
+}
+
+/**
+ * Away from every threshold (code centres at 4 and 6 bits) the keyed
+ * search returns convert()'s codes, at its energy and decision count.
+ */
+TEST(SarAdcTest, KeyedConversionMatchesConvertAwayFromThresholds)
+{
+    for (unsigned bits : {4u, 6u}) {
+        auto keyed = makeAdc(13);
+        auto replay = makeAdc(13);
+        keyed.setResolution(bits);
+        replay.setResolution(bits);
+        const std::size_t levels = std::size_t{1} << bits;
+        std::vector<double> volts;
+        for (std::size_t rep = 0; rep < 8; ++rep) {
+            for (std::size_t c = 0; c < levels; ++c) {
+                volts.push_back(keyed.vref() *
+                                (static_cast<double>(c) + 0.5) /
+                                static_cast<double>(levels));
+            }
+        }
+        std::vector<std::uint32_t> codes(volts.size());
+        keyed.convertKeyed(volts, codes,
+                           keyed.decisionConstants(), 0x5a4, 0);
+        Rng rng(14);
+        for (std::size_t j = 0; j < volts.size(); ++j) {
+            EXPECT_EQ(codes[j], j % levels) << bits << " bits";
+            EXPECT_EQ(codes[j], replay.convert(volts[j], rng))
+                << bits << " bits";
+        }
+        EXPECT_NEAR(keyed.energyJ(), replay.energyJ(),
+                    1e-3 * replay.energyJ());
+        EXPECT_EQ(keyed.forcedCount(), 0u);
+    }
+}
+
+/**
+ * An input on the MSB threshold ties its first decision: the keyed
+ * search forces it as often as convert() does, counts it, and splits
+ * the MSB evenly.
+ */
+TEST(SarAdcTest, KeyedTieForcesLikeConvert)
+{
+    constexpr std::size_t kInputs = 20000;
+    auto keyed = makeAdc(15, 0.0);
+    auto replay = makeAdc(15, 0.0);
+    keyed.setResolution(4);
+    replay.setResolution(4);
+    const std::vector<double> volts(kInputs, keyed.vref() / 2.0);
+    std::vector<std::uint32_t> codes(kInputs);
+    keyed.convertKeyed(volts, codes, keyed.decisionConstants(), 0x71e,
+                       0);
+    Rng rng(16);
+    std::size_t msb = 0;
+    for (std::size_t j = 0; j < kInputs; ++j) {
+        replay.convert(volts[j], rng);
+        msb += codes[j] >> 3;
+    }
+    const double got = static_cast<double>(keyed.forcedCount()) / kInputs;
+    const double want =
+        static_cast<double>(replay.forcedCount()) / kInputs;
+    ASSERT_GT(want, 0.1);
+    const double bound =
+        4.0 * std::sqrt(2.0 * want * (1.0 - want) / kInputs);
+    EXPECT_NEAR(got, want, bound);
+    EXPECT_NEAR(static_cast<double>(msb) / kInputs, 0.5,
+                4.0 * std::sqrt(0.25 / kInputs));
+    keyed.resetCounts();
+    EXPECT_EQ(keyed.forcedCount(), 0u);
 }
 
 TEST(SarAdcTest, InvalidResolutionFatal)

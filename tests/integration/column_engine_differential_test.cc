@@ -1,13 +1,15 @@
 /**
  * @file
- * Statistical differential of the closed-form conv engine
- * (ColumnArray::runConvolution) against the per-tap oracle
- * (runConvolutionReference) on the served workload: trained conv1 on
- * sensor-sampled replay frames. The engines realize different noise
- * draws, so the comparison is of what they realize in distribution
- * (SNR) and of what they count exactly (energy).
+ * Statistical differential of the closed-form column engines against
+ * their oracles on the served workload: trained conv1 on
+ * sensor-sampled replay frames, then pool1 and the 4-bit readout on
+ * that conv1 output. The engines realize different noise draws, so
+ * the comparison is of what they realize in distribution (SNR,
+ * decision flips, code histograms, forced decisions) and of what they
+ * count (energy).
  */
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "models/mini_googlenet.hh"
 #include "nn/conv.hh"
 #include "nn/network.hh"
+#include "nn/pool.hh"
 #include "noise/sensor_noise.hh"
 #include "redeye/column.hh"
 #include "sim/pretrained.hh"
@@ -44,6 +47,12 @@ class ServedConv1
     conv1()
     {
         return static_cast<nn::ConvolutionLayer &>(net_->layer("conv1"));
+    }
+
+    nn::MaxPoolLayer &
+    pool1()
+    {
+        return static_cast<nn::MaxPoolLayer &>(net_->layer("pool1"));
     }
 
     const std::vector<Tensor> &frames() const { return frames_; }
@@ -192,6 +201,152 @@ TEST(ColumnEngineDifferentialTest, OutputsIgnoreOtherColumnsFaults)
                   clean.vec())
             << "frame " << i;
     }
+}
+
+/** What one engine realized for pool1 and the readout, all frames. */
+struct PoolReadout {
+    std::size_t pooled = 0;      ///< pooled outputs
+    std::size_t flips = 0;       ///< ... unequal to the window max
+    std::vector<std::size_t> codes = std::vector<std::size_t>(16);
+    std::size_t poolForced = 0;
+    std::size_t readoutForced = 0;
+    std::vector<double> comparatorJ; ///< per frame
+    std::vector<double> readoutJ;    ///< per frame
+};
+
+/** Four binomial sigmas of two counts' difference, Poisson-bounded. */
+double
+countBound(std::size_t count)
+{
+    return 4.0 * std::sqrt(2.0 * static_cast<double>(count)) + 4.0;
+}
+
+/**
+ * Pool1 and the 4-bit readout, closed form against the oracles, both
+ * armed with @p model, on each frame's conv1 output. Both readouts
+ * convert the closed form's pooled tensor, so readout differences are
+ * the readout's own.
+ */
+void
+checkPoolAndReadout(const fault::FaultModel *model)
+{
+    auto &served = ServedConv1::instance();
+    nn::MaxPoolLayer &pool = served.pool1();
+    PoolReadout fast, slow;
+    bool marked = false;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        auto conv = makeArray(40.0, 500 + i);
+        const Tensor c =
+            conv.runConvolution(served.frames()[i], served.conv1(), true);
+        Tensor window_max;
+        pool.forward({&c}, window_max);
+
+        auto closed = makeArray(40.0, 600 + i);
+        auto oracle = makeArray(40.0, 700 + i);
+        closed.armFaults(model, 0);
+        oracle.armFaults(model, 0);
+        const Tensor p = closed.runMaxPool(c, pool);
+        const Tensor p_ref = oracle.runMaxPoolReference(c, pool);
+        const auto tally_pool = [&](PoolReadout &r,
+                                    arch::ColumnArray &array,
+                                    const Tensor &pooled) {
+            r.pooled += pooled.size();
+            for (std::size_t k = 0; k < pooled.size(); ++k)
+                r.flips += pooled[k] != window_max[k];
+            r.poolForced += array.forcedDecisions();
+            r.comparatorJ.push_back(array.energy().comparatorJ);
+            array.resetEnergy();
+        };
+        tally_pool(fast, closed, p);
+        tally_pool(slow, oracle, p_ref);
+
+        const Tensor q = closed.runQuantization(p);
+        const Tensor q_ref = oracle.runQuantizationReference(p);
+        const double lsb = p.absMax() / 16.0;
+        const auto tally_readout = [&](PoolReadout &r,
+                                       const arch::ColumnArray &array,
+                                       const Tensor &quantized) {
+            for (float v : quantized.vec())
+                ++r.codes.at(static_cast<std::size_t>(
+                    std::lround(v / lsb - 0.5)));
+            r.readoutForced += array.forcedDecisions();
+            r.readoutJ.push_back(array.energy().readoutJ);
+        };
+        tally_readout(fast, closed, q);
+        tally_readout(slow, oracle, q_ref);
+
+        if (model) {
+            auto plain = makeArray(40.0, 600 + i);
+            const Tensor clean = plain.runMaxPool(c, pool);
+            marked |= clean.vec() != p.vec() ||
+                      plain.runQuantization(p).vec() != q.vec();
+        }
+    }
+    if (model) {
+        EXPECT_TRUE(marked) << "the faults left no mark";
+    }
+
+    const double n = static_cast<double>(slow.pooled);
+    const double rate = static_cast<double>(slow.flips) / n;
+    EXPECT_NEAR(static_cast<double>(fast.flips) / n, rate,
+                4.0 * std::sqrt(2.0 * rate * (1.0 - rate) / n) + 2.0 / n)
+        << slow.flips << " oracle flips of " << slow.pooled;
+    for (std::size_t b = 0; b < fast.codes.size(); ++b) {
+        EXPECT_NEAR(static_cast<double>(fast.codes[b]),
+                    static_cast<double>(slow.codes[b]),
+                    countBound(slow.codes[b]))
+            << "code " << b;
+    }
+    EXPECT_NEAR(static_cast<double>(fast.poolForced),
+                static_cast<double>(slow.poolForced),
+                countBound(slow.poolForced));
+    EXPECT_NEAR(static_cast<double>(fast.readoutForced),
+                static_cast<double>(slow.readoutForced),
+                countBound(slow.readoutForced));
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        EXPECT_NEAR(fast.comparatorJ[i], slow.comparatorJ[i],
+                    0.01 * slow.comparatorJ[i])
+            << "frame " << i;
+        EXPECT_NEAR(fast.readoutJ[i], slow.readoutJ[i],
+                    0.01 * slow.readoutJ[i])
+            << "frame " << i;
+    }
+}
+
+/** Faults of one kind on a quarter of the columns. */
+fault::FaultModel
+campaignOf(void (*arm)(fault::FaultCampaign &))
+{
+    fault::FaultCampaign c;
+    c.seed = 17;
+    arm(c);
+    return fault::FaultModel(c, models::kMiniInputSize);
+}
+
+TEST(ColumnEngineDifferentialTest, PoolAndReadoutMatchReference)
+{
+    checkPoolAndReadout(nullptr);
+}
+
+TEST(ColumnEngineDifferentialTest, PoolAndReadoutWithComparatorOffsets)
+{
+    const fault::FaultModel model = campaignOf(
+        [](fault::FaultCampaign &c) { c.comparatorOffsetRate = 0.25; });
+    checkPoolAndReadout(&model);
+}
+
+TEST(ColumnEngineDifferentialTest, PoolAndReadoutWithAdcStuckBits)
+{
+    const fault::FaultModel model = campaignOf(
+        [](fault::FaultCampaign &c) { c.adcStuckBitRate = 0.25; });
+    checkPoolAndReadout(&model);
+}
+
+TEST(ColumnEngineDifferentialTest, PoolAndReadoutWithDeadColumns)
+{
+    const fault::FaultModel model = campaignOf(
+        [](fault::FaultCampaign &c) { c.deadColumnRate = 0.25; });
+    checkPoolAndReadout(&model);
 }
 
 } // namespace

@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests of the closed-form conv engine (ColumnArray::runConvolution)
- * against the per-tap oracle (runConvolutionReference): every
- * conv-side fault kind, the keyed noise, energy and reprogramming.
+ * Tests of the closed-form engines against their oracles: conv
+ * (runConvolution vs runConvolutionReference) over every conv-side
+ * fault kind, the keyed noise, energy and reprogramming; max pooling
+ * and SAR readout (runMaxPool, runQuantization vs their *Reference)
+ * over comparator offsets, ADC stuck bits and dead columns.
  */
 
 #include <cmath>
@@ -11,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analog/comparator.hh"
 #include "fault/fault_model.hh"
 #include "nn/conv.hh"
+#include "nn/pool.hh"
 #include "redeye/column.hh"
 
 namespace redeye {
@@ -268,6 +272,333 @@ TEST(ColumnEngineTest, SetConvSnrDbMatchesFreshArray)
     const EnergyBreakdown b = reprogrammed.energy();
     EXPECT_EQ(a.macJ, b.macJ);
     EXPECT_EQ(a.memoryJ, b.memoryJ);
+}
+
+/**
+ * Pool1-shaped max pooling over every column: 3x3 windows, stride 2,
+ * on a rectified-looking input (about half exact zeros) with near
+ * ties planted a fraction of the comparator band apart.
+ */
+struct PoolWorkload {
+    nn::MaxPoolLayer pool{"p", nn::PoolParams{3, 2, 0}};
+    Tensor x{Shape(1, 4, 9, 2 * kColumns + 1)};
+
+    PoolWorkload()
+    {
+        Rng rng(3);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const double u = rng.uniform(-1.0, 1.0);
+            x[i] = u > 0.0 ? static_cast<float>(u) : 0.0f;
+        }
+        x[0] = 1.0f; // full scale: 1.0 -> swing
+        // Every 5th element with a positive left neighbour sits
+        // 0.2 mV above it, inside the 0.9 mV band.
+        for (std::size_t i = 1; i < x.size(); i += 5) {
+            if (x[i - 1] > 0.0f && x[i - 1] < 0.9f)
+                x[i] = x[i - 1] + 2e-4f / 0.9f;
+        }
+    }
+};
+
+/** What the noiseless comparators route, per pooled output. */
+struct PoolTruth {
+    std::vector<float> value;
+    /** Some decision between unequal candidates fell in the band,
+     * so noise may route either. */
+    std::vector<bool> decisive;
+};
+
+PoolTruth
+noiselessPool(const PoolWorkload &w, const fault::FaultModel *faults)
+{
+    const double band = analog::DynamicComparator(
+                            analog::ComparatorParams{},
+                            analog::ProcessParams::typical())
+                            .decisionConstants()
+                            .band;
+    const double swing = analog::ProcessParams::typical().signalSwing;
+    const Shape os = w.pool.outputShape({w.x.shape()});
+    const nn::PoolParams &p = w.pool.poolParams();
+    const double in_scale = w.x.absMax();
+    PoolTruth t;
+    for (std::size_t oc = 0; oc < os.c; ++oc) {
+        for (std::size_t oy = 0; oy < os.h; ++oy) {
+            for (std::size_t ox = 0; ox < os.w; ++ox) {
+                const fault::ColumnFaults *f =
+                    faults ? &faults->column(ox % kColumns) : nullptr;
+                const double offset = f ? f->comparatorOffsetV : 0.0;
+                bool have = false;
+                bool decisive = false;
+                double best = 0.0;
+                // Every window of the workload lies inside the input.
+                for (std::size_t ky = 0; ky < p.kernel; ++ky) {
+                    for (std::size_t kx = 0; kx < p.kernel; ++kx) {
+                        const double v =
+                            w.x.at(0, oc, oy * p.stride + ky,
+                                   ox * p.stride + kx) /
+                            in_scale * swing;
+                        if (!have) {
+                            best = v;
+                            have = true;
+                            continue;
+                        }
+                        const double delta = (v + offset) - best;
+                        decisive |= v != best && std::fabs(delta) <= band;
+                        if (delta > 0.0)
+                            best = v;
+                    }
+                }
+                if (f && f->dead)
+                    best = swing;
+                t.value.push_back(
+                    static_cast<float>(best * in_scale / swing));
+                t.decisive.push_back(decisive);
+            }
+        }
+    }
+    return t;
+}
+
+/** Four binomial sigmas (Poisson-bounded) of two forced counts. */
+double
+forcedBound(std::size_t forced)
+{
+    return 4.0 * std::sqrt(2.0 * static_cast<double>(forced)) + 4.0;
+}
+
+/**
+ * Armed with @p model, closed-form pooling routes exactly what the
+ * noiseless comparators do wherever no decision between unequal
+ * candidates falls in the band, as the oracle does; forced counts
+ * agree within binomial noise and comparator energy within 1%.
+ */
+void
+checkPool(const fault::FaultModel *model)
+{
+    PoolWorkload w;
+    const PoolTruth truth = noiselessPool(w, model);
+    auto closed = makeArray(40.0);
+    auto oracle = makeArray(40.0);
+    closed.armFaults(model, 0);
+    oracle.armFaults(model, 0);
+    const Tensor got = closed.runMaxPool(w.x, w.pool);
+    const Tensor want = oracle.runMaxPoolReference(w.x, w.pool);
+    ASSERT_EQ(got.size(), truth.value.size());
+    std::size_t exact = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        if (truth.decisive[i])
+            continue;
+        ASSERT_EQ(got[i], truth.value[i]) << "output " << i;
+        ASSERT_EQ(want[i], truth.value[i]) << "output " << i;
+        ++exact;
+    }
+    EXPECT_GT(exact, got.size() * 3 / 4);
+    EXPECT_LT(exact, got.size()) << "no near tie reached the band";
+    EXPECT_NEAR(static_cast<double>(closed.forcedDecisions()),
+                static_cast<double>(oracle.forcedDecisions()),
+                forcedBound(oracle.forcedDecisions()));
+    const double j = oracle.energy().comparatorJ;
+    EXPECT_NEAR(closed.energy().comparatorJ, j, 0.01 * j);
+}
+
+TEST(ColumnEngineTest, MaxPoolMatchesReference)
+{
+    checkPool(nullptr);
+}
+
+TEST(ColumnEngineTest, MaxPoolComparatorOffsetMatchesReference)
+{
+    fault::FaultCampaign c;
+    c.comparatorOffsetRate = 0.3;
+    c.seed = 5;
+    const fault::FaultModel model(c, kColumns);
+    PoolWorkload w;
+    const PoolTruth clean = noiselessPool(w, nullptr);
+    const PoolTruth shifted = noiselessPool(w, &model);
+    ASSERT_NE(clean.value, shifted.value) << "the offsets left no mark";
+    checkPool(&model);
+}
+
+TEST(ColumnEngineTest, MaxPoolDeadColumnMatchesReference)
+{
+    const auto [campaign, column] =
+        singleFault(fault::FaultCampaign::deadColumns(0.1),
+                    [](const fault::ColumnFaults &f) { return f.dead; });
+    ASSERT_LT(column, kColumns);
+    const fault::FaultModel model(campaign, kColumns);
+    checkPool(&model);
+}
+
+/**
+ * Readout input whose every element converts at a code centre at 4
+ * bits (the 1.0 maps onto vref): no bit decision comes near the band.
+ */
+Tensor
+codeCentres()
+{
+    Tensor x(Shape(1, 4, 4, kColumns));
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = (static_cast<float>((i * 7) % 16) + 0.5f) / 16.0f;
+    x[3] = 1.0f;
+    return x;
+}
+
+/**
+ * Armed with @p model, the closed-form readout returns the oracle's
+ * values exactly on code centres, stuck bits and rails included, at
+ * the oracle's readout energy.
+ */
+void
+checkReadout(const fault::FaultModel *model)
+{
+    const Tensor x = codeCentres();
+    auto plain = makeArray(40.0);
+    auto closed = makeArray(40.0);
+    auto oracle = makeArray(40.0);
+    closed.armFaults(model, 0);
+    oracle.armFaults(model, 0);
+    const Tensor got = closed.runQuantization(x);
+    EXPECT_EQ(got.vec(), oracle.runQuantizationReference(x).vec());
+    if (model) {
+        EXPECT_NE(got.vec(), plain.runQuantization(x).vec())
+            << "the fault left no mark";
+    }
+    EXPECT_EQ(closed.forcedDecisions(), 0u);
+    const double j = oracle.energy().readoutJ;
+    EXPECT_NEAR(closed.energy().readoutJ, j, 1e-3 * j);
+}
+
+TEST(ColumnEngineTest, QuantizationMatchesReference)
+{
+    checkReadout(nullptr);
+}
+
+TEST(ColumnEngineTest, AdcStuckBitHighMatchesReference)
+{
+    fault::FaultCampaign c;
+    c.adcStuckBitRate = 0.1;
+    const auto [campaign, column] =
+        singleFault(c, [](const fault::ColumnFaults &f) {
+            return f.adcStuckHigh && f.adcStuckBit >= 0 &&
+                   f.adcStuckBit < 4;
+        });
+    ASSERT_LT(column, kColumns);
+    const fault::FaultModel model(campaign, kColumns);
+    checkReadout(&model);
+}
+
+TEST(ColumnEngineTest, AdcStuckBitLowMatchesReference)
+{
+    fault::FaultCampaign c;
+    c.adcStuckBitRate = 0.1;
+    const auto [campaign, column] =
+        singleFault(c, [](const fault::ColumnFaults &f) {
+            return !f.adcStuckHigh && f.adcStuckBit >= 0 &&
+                   f.adcStuckBit < 4;
+        });
+    ASSERT_LT(column, kColumns);
+    const fault::FaultModel model(campaign, kColumns);
+    checkReadout(&model);
+}
+
+TEST(ColumnEngineTest, QuantizationDeadColumnMatchesReference)
+{
+    const auto [campaign, column] =
+        singleFault(fault::FaultCampaign::deadColumns(0.1),
+                    [](const fault::ColumnFaults &f) { return f.dead; });
+    ASSERT_LT(column, kColumns);
+    const fault::FaultModel model(campaign, kColumns);
+    checkReadout(&model);
+}
+
+/**
+ * The SAR comparators' forced decisions count: a dense ramp puts
+ * inputs within the metastable window of many thresholds.
+ */
+TEST(ColumnEngineTest, ReadoutCountsForcedDecisions)
+{
+    Tensor ramp(Shape(1, 1, 512, kColumns));
+    for (std::size_t i = 0; i < ramp.size(); ++i)
+        ramp[i] = static_cast<float>(i) / static_cast<float>(ramp.size());
+    auto closed = makeArray(40.0);
+    auto oracle = makeArray(40.0);
+    (void)closed.runQuantization(ramp);
+    (void)oracle.runQuantizationReference(ramp);
+    EXPECT_GT(oracle.forcedDecisions(), 0u);
+    EXPECT_GT(closed.forcedDecisions(), 0u);
+    EXPECT_NEAR(static_cast<double>(closed.forcedDecisions()),
+                static_cast<double>(oracle.forcedDecisions()),
+                forcedBound(oracle.forcedDecisions()));
+    closed.resetEnergy();
+    EXPECT_EQ(closed.forcedDecisions(), 0u);
+}
+
+/** Pooled and quantized outputs are a pure function of the seed. */
+TEST(ColumnEngineTest, PoolAndReadoutSameSeedAreBitIdentical)
+{
+    PoolWorkload w;
+    auto a = makeArray(40.0, 7);
+    auto b = makeArray(40.0, 7);
+    const Tensor pa = a.runMaxPool(w.x, w.pool);
+    EXPECT_EQ(pa.vec(), b.runMaxPool(w.x, w.pool).vec());
+    EXPECT_EQ(a.runQuantization(pa).vec(), b.runQuantization(pa).vec());
+    EXPECT_EQ(a.forcedDecisions(), b.forcedDecisions());
+    EXPECT_EQ(a.energy().comparatorJ, b.energy().comparatorJ);
+    EXPECT_EQ(a.energy().readoutJ, b.energy().readoutJ);
+}
+
+/**
+ * A dead column moves only the pooled outputs and conversions it
+ * serves; remapping its position onto a healthy neighbour restores
+ * every pooled output bit for bit (comparators differ only in their
+ * faults) and every other conversion.
+ */
+TEST(ColumnEngineTest, PoolAndReadoutIgnoreOtherColumnsFaults)
+{
+    const auto [campaign, dead] =
+        singleFault(fault::FaultCampaign::deadColumns(0.1),
+                    [](const fault::ColumnFaults &f) { return f.dead; });
+    ASSERT_LT(dead, kColumns);
+    const fault::FaultModel model(campaign, kColumns);
+    std::vector<std::size_t> map(kColumns);
+    for (std::size_t x = 0; x < kColumns; ++x)
+        map[x] = x == dead ? (dead + 1) % kColumns : x;
+
+    PoolWorkload w;
+    auto plain = makeArray(40.0);
+    auto armed = makeArray(40.0);
+    auto remapped = makeArray(40.0);
+    armed.armFaults(&model, 0);
+    remapped.armFaults(&model, 0);
+    remapped.setColumnMap(map);
+
+    const Tensor clean = plain.runMaxPool(w.x, w.pool);
+    const Tensor railed = armed.runMaxPool(w.x, w.pool);
+    EXPECT_EQ(remapped.runMaxPool(w.x, w.pool).vec(), clean.vec());
+    const Shape &s = clean.shape();
+    ASSERT_EQ(s.w, kColumns);
+    bool moved = false;
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        if (i % s.w != dead)
+            ASSERT_EQ(railed[i], clean[i]) << "pooled output " << i;
+        else
+            moved |= railed[i] != clean[i];
+    }
+    EXPECT_TRUE(moved);
+
+    // All three convert one input: the readout scales by its peak.
+    const Tensor qc = plain.runQuantization(clean);
+    const Tensor qa = armed.runQuantization(clean);
+    const Tensor qr = remapped.runQuantization(clean);
+    const float lsb = clean.absMax() / 16.0f;
+    for (std::size_t i = 0; i < qc.size(); ++i) {
+        if (i % s.w != dead) {
+            ASSERT_EQ(qa[i], qc[i]) << "conversion " << i;
+            ASSERT_EQ(qr[i], qc[i]) << "conversion " << i;
+        } else {
+            EXPECT_NEAR(qr[i], qc[i], 1.01f * lsb) << "conversion " << i;
+        }
+    }
 }
 
 } // namespace

@@ -59,6 +59,30 @@ TEST(DeviceTest, EnergyReportedPerCategory)
     EXPECT_GT(run.energy.readoutJ, 0.0);
 }
 
+/**
+ * A run reports its own forced decisions, not a running total: two
+ * runs of one device on one frame force about as many.
+ */
+TEST(DeviceTest, ForcedDecisionsArePerRun)
+{
+    Rng rng(6);
+    auto net = models::buildMiniGoogLeNet(10, rng);
+    const auto layers = models::miniGoogLeNetAnalogLayers(1);
+    Tensor x(Shape(1, 3, 32, 32));
+    Rng xrng(7);
+    x.fillUniform(xrng, 0.0f, 1.0f);
+
+    auto device = makeDevice(40.0, 4);
+    const auto first = device.run(*net, layers, x);
+    const auto second = device.run(*net, layers, x);
+    ASSERT_GT(first.forcedDecisions, 1000u);
+    EXPECT_NEAR(static_cast<double>(second.forcedDecisions),
+                static_cast<double>(first.forcedDecisions),
+                0.1 * static_cast<double>(first.forcedDecisions));
+    EXPECT_NEAR(second.energy.totalJ(), first.energy.totalJ(),
+                0.01 * first.energy.totalJ());
+}
+
 TEST(DeviceTest, LowSnrDegradesFeatures)
 {
     Rng rng(4);
