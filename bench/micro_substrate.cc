@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks of the ConvNet substrate: convolution forward and
- * backward throughput, noise-layer overheads, dataset generation,
- * and serial-vs-parallel network forward scaling.
+ * backward throughput, the keyed noise samplers and noise-layer
+ * overheads, dataset generation, and serial-vs-parallel network
+ * forward scaling.
  *
  * Pass `--csv <path>` (in addition to the usual benchmark flags) to
  * also write every measurement to a CSV file — the shared flag idiom
@@ -11,7 +12,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/csv.hh"
 #include "core/exec.hh"
@@ -22,6 +26,7 @@
 #include "nn/pool.hh"
 #include "noise/gaussian_layer.hh"
 #include "noise/quantization_layer.hh"
+#include "noise/sensor_noise.hh"
 #include "tensor/im2col.hh"
 
 using namespace redeye;
@@ -118,6 +123,77 @@ BM_GaussianNoiseLayer(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GaussianNoiseLayer);
+
+/** One conv1 frame's worth of keyed draws: 32 x 32 x 32 outputs. */
+void
+BM_KeyedGaussian(benchmark::State &state)
+{
+    constexpr std::uint64_t kDraws = 32768;
+    std::uint64_t key = 0;
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (std::uint64_t i = 0; i < kDraws; ++i)
+            sum += keyedGaussian(key, i);
+        benchmark::DoNotOptimize(sum);
+        ++key;
+    }
+    state.counters["draws"] = benchmark::Counter(
+        static_cast<double>(kDraws),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_KeyedGaussian)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Shot noise at the sensor's means: the electron counts of 16
+ * rendered 3 x 32 x 32 frames under the default SensorParams.
+ */
+void
+BM_KeyedPoisson(benchmark::State &state)
+{
+    const noise::SensorParams sensor;
+    Rng rng(11);
+    std::vector<double> means;
+    for (std::size_t f = 0; f < 16; ++f) {
+        const Tensor frame = data::renderShape(
+            f % data::kShapeClasses, data::ShapesParams{}, rng);
+        for (float v : frame.vec()) {
+            means.push_back(
+                std::pow(std::clamp(static_cast<double>(v), 0.0, 1.0),
+                         sensor.gamma) *
+                sensor.fullWellElectrons);
+        }
+    }
+    std::uint64_t key = 0;
+    for (auto _ : state) {
+        std::int64_t sum = 0;
+        for (std::size_t i = 0; i < means.size(); ++i)
+            sum += keyedPoisson(key, i, means[i]);
+        benchmark::DoNotOptimize(sum);
+        ++key;
+    }
+    state.counters["draws"] = benchmark::Counter(
+        static_cast<double>(means.size()),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_KeyedPoisson)->Unit(benchmark::kMicrosecond);
+
+/** The sensor front end on one rendered 3 x 32 x 32 frame. */
+void
+BM_SensorSampling(benchmark::State &state)
+{
+    noise::SensorSamplingLayer layer("s", noise::SensorParams{}, Rng(12));
+    Rng rng(13);
+    const Tensor x = data::renderShape(0, data::ShapesParams{}, rng);
+    Tensor y;
+    for (auto _ : state) {
+        layer.forward({&x}, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.counters["pixels"] = benchmark::Counter(
+        static_cast<double>(x.size()),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_SensorSampling)->Unit(benchmark::kMicrosecond);
 
 void
 BM_QuantizationNoiseLayer(benchmark::State &state)

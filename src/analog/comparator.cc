@@ -164,8 +164,8 @@ DecisionBatch::decideNearTie(double delta, std::uint64_t counter)
     Decision d = cmp_->settle(delta + cmp_->params().inputNoiseRms *
                                           keyedGaussian(key_, counter));
     if (d.forced) {
-        // Box-Muller reads the top 53 bits of this hash; the coin is
-        // its low bit.
+        // keyedGaussian reads the top 52 bits of this hash; the coin
+        // is its low bit.
         d.aGreater = (keyedBits(key_, 2 * counter) & 1) != 0;
         ++nearForced_;
     }

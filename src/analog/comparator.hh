@@ -157,9 +157,9 @@ class DynamicComparator
  *  - otherwise, a near tie: keyedGaussian(key, counter) supplies
  *    the noise, and settle() the rest.
  *
- * Every draw of decision @p counter comes from the two hashes behind
- * keyedGaussian(key, counter), so it is a pure function of the
- * decision's own index. A far decision's ln(swing / |delta|) joins
+ * Every draw of decision @p counter comes from the hash behind
+ * keyedGaussian(key, counter), keyedBits(key, 2 counter), so it is a
+ * pure function of the decision's own index. A far decision's ln(swing / |delta|) joins
  * one running product of margins, renormalized with frexp, so a batch
  * takes one log instead of one per decision. accrue() charges the
  * comparator once.

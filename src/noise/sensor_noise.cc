@@ -19,6 +19,12 @@ SensorSamplingLayer::SensorSamplingLayer(std::string name,
              "': full-well capacity must be positive");
     fatal_if(params_.illuminationScale <= 0.0, "sensor '", this->name(),
              "': illumination scale must be positive");
+    fatal_if(params_.prnuSigma < 0.0, "sensor '", this->name(),
+             "': PRNU sigma must be non-negative");
+    fatal_if(params_.dsnuSigma < 0.0, "sensor '", this->name(),
+             "': DSNU sigma must be non-negative");
+    fatal_if(params_.readNoiseSigma < 0.0, "sensor '", this->name(),
+             "': read noise sigma must be non-negative");
 }
 
 Shape
@@ -65,11 +71,12 @@ SensorSamplingLayer::forward(const std::vector<const Tensor *> &in,
                         params_.illuminationScale;
     const std::size_t slice = s.sliceSize();
 
-    // One counter-based stream per image (core/rng.hh): sampled
-    // values are bit-identical at any thread count or batch split.
+    // One key per image and pixel i's draws at counter i (core/rng.hh):
+    // sampled values are bit-identical at any thread count or batch
+    // split.
     const std::uint64_t pass = pass_++;
     parallelFor(ctx, s.n, [&](std::size_t n) {
-        Rng stream = streamRng(seed_, pass, n);
+        const std::uint64_t key = streamKey(seed_, pass, n);
         const float *xi = x.data() + n * slice;
         float *oi = out.data() + n * slice;
         for (std::size_t i = 0; i < slice; ++i) {
@@ -80,15 +87,15 @@ SensorSamplingLayer::forward(const std::vector<const Tensor *> &in,
 
             if (params_.enablePoisson) {
                 const double electrons = linear * well;
-                linear =
-                    static_cast<double>(stream.poisson(electrons)) /
-                    well;
+                linear = static_cast<double>(
+                             keyedPoisson(key, i, electrons)) /
+                         well;
             }
             if (params_.enableFixedPattern) {
                 linear = linear * prnuGain_[i] + dsnuOffset_[i];
             }
             if (params_.readNoiseSigma > 0.0) {
-                linear += stream.gaussian(0.0, params_.readNoiseSigma);
+                linear += params_.readNoiseSigma * keyedGaussian(key, i);
             }
             oi[i] = static_cast<float>(linear);
         }

@@ -13,6 +13,13 @@
  *   3. static per-pixel fixed-pattern noise (gain and offset),
  *   4. additive Gaussian read noise,
  *   5. renormalization back to [0, 1].
+ *
+ * Shot and read noise are counter-keyed draws (core/rng.hh): image n
+ * of pass p is keyed by streamKey(seed, p, n), and pixel i draws
+ * keyedPoisson(key, i, electrons) and keyedGaussian(key, i). Each
+ * pixel's noise is then a pure function of its own index, and no draw
+ * touches shared state (std::poisson_distribution's lgamma writes
+ * glibc's global signgam).
  */
 
 #ifndef REDEYE_NOISE_SENSOR_NOISE_HH
@@ -47,9 +54,9 @@ class SensorSamplingLayer : public nn::Layer
 {
   public:
     /**
-     * @param rng Seeds the per-item counter-based shot/read-noise
-     * streams (see core/rng.hh); the fixed-pattern maps are drawn once
-     * from a fork of it (static per instance, as on a physical die).
+     * @param rng Seeds the per-item keys of the shot and read noise
+     * (see core/rng.hh); the fixed-pattern maps are drawn once from a
+     * fork of it (static per instance, as on a physical die).
      */
     SensorSamplingLayer(std::string name, SensorParams params, Rng rng);
 
@@ -97,7 +104,7 @@ class SensorSamplingLayer : public nn::Layer
     void materializeFixedPattern(const Shape &per_item);
 
     SensorParams params_;
-    std::uint64_t seed_;     ///< base of the per-item noise streams
+    std::uint64_t seed_;     ///< base of the per-item noise keys
     std::uint64_t pass_ = 0; ///< counts noisy forward passes
     Rng patternRng_;         ///< dedicated stream for the die pattern
     bool enabled_ = true;

@@ -371,7 +371,11 @@ ColumnArray::runConvolution(const Tensor &in,
 
     // Epilogue: noiseless charge to volts, plus one Gaussian of the
     // window's variance, keyed by this call and the output's index;
-    // then bias, the serving column's faults and clipping.
+    // then bias, the serving column's faults and clipping. An output
+    // the clamp fixes even at a draw of +-kKeyedGaussianMaxAbs skips
+    // its draw: every rounded step is monotone in the draw, so the
+    // bound, written in the draw's shape, decides exactly (DESIGN.md
+    // §15).
     const analog::MacUnit::WindowStats stats = mac.windowStats(taps);
     const double to_volts =
         g.kIn / static_cast<double>(1 << (config_.weightBits - 1)) *
@@ -396,9 +400,20 @@ ColumnArray::runConvolution(const Tensor &in,
                         gain2 * (bank.tapVar[oc] +
                                  read_scale * bank.readVar[i]) +
                         stats.addedVar;
-                    volts = bank.charge[i] * to_volts +
-                            std::sqrt(var) * keyedGaussian(key, i) +
-                            bias + c.offsetV;
+                    const double mean = bank.charge[i] * to_volts;
+                    const double sd = std::sqrt(var);
+                    if (mean + sd * kKeyedGaussianMaxAbs + bias +
+                            c.offsetV <
+                        lo) {
+                        volts = lo;
+                    } else if (mean - sd * kKeyedGaussianMaxAbs + bias +
+                                   c.offsetV >
+                               swing) {
+                        volts = swing;
+                    } else {
+                        volts = mean + sd * keyedGaussian(key, i) + bias +
+                                c.offsetV;
+                    }
                 }
                 out[i] = static_cast<float>(std::clamp(volts, lo, swing) *
                                             g.outFactor);

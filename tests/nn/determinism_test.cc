@@ -26,6 +26,7 @@
 #include "nn/softmax.hh"
 #include "noise/gaussian_layer.hh"
 #include "noise/quantization_layer.hh"
+#include "noise/sensor_noise.hh"
 #include "tensor/kernels.hh"
 
 namespace redeye {
@@ -35,8 +36,9 @@ namespace {
 constexpr std::uint64_t kWeightSeed = 0xbeef;
 
 /**
- * Small classifier exercising every parallelized layer kind plus both
- * stochastic noise layers. Identical calls produce identical nets.
+ * Small classifier exercising every parallelized layer kind plus the
+ * three stochastic noise layers: the sensor at its head, then Gaussian
+ * and quantization noise. Identical calls produce identical nets.
  */
 std::unique_ptr<Network>
 buildNet()
@@ -44,10 +46,12 @@ buildNet()
     Rng rng(kWeightSeed);
     auto net = std::make_unique<Network>("det");
     net->setInputShape(Shape(1, 3, 16, 16));
+    net->add(std::make_unique<noise::SensorSamplingLayer>(
+                 "s0", noise::SensorParams{}, Rng(0x44)),
+             {kInputName});
     auto &c1 = static_cast<ConvolutionLayer &>(
         net->add(std::make_unique<ConvolutionLayer>(
-                     "c1", ConvParams::square(8, 3, 1, 1)),
-                 {kInputName}));
+            "c1", ConvParams::square(8, 3, 1, 1))));
     c1.initHe(rng);
     net->add(std::make_unique<noise::GaussianNoiseLayer>(
         "g1", 30.0, Rng(0x11)));

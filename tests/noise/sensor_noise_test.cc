@@ -49,6 +49,24 @@ TEST(SensorTest, PoissonPreservesMeanAddsVariance)
     EXPECT_NEAR(stat.variance(), 1e-3, 3e-4);
 }
 
+TEST(SensorTest, PoissonAtFewElectronsHasFanoFactorOne)
+{
+    // A four-electron well puts the shot noise's mean below 10, where
+    // the keyed sampler inverts instead of rejecting.
+    SensorParams p = quietSensor();
+    p.enablePoisson = true;
+    p.fullWellElectrons = 4.0;
+    SensorSamplingLayer layer("s", p, Rng(13));
+    Tensor x(Shape(1, 1, 128, 128), 1.0f); // 4 electrons a pixel
+    Tensor y;
+    layer.forward({&x}, y);
+    RunningStat electrons;
+    for (float v : y.vec())
+        electrons.add(4.0 * v);
+    EXPECT_NEAR(electrons.mean(), 4.0, 0.06);
+    EXPECT_NEAR(electrons.variance() / electrons.mean(), 1.0, 0.05);
+}
+
 TEST(SensorTest, LowLightIsNoisier)
 {
     SensorParams bright = quietSensor();
@@ -181,6 +199,19 @@ TEST(SensorTest, InvalidParamsFatal)
     p2.illuminationScale = 0.0;
     EXPECT_EXIT(SensorSamplingLayer("s", p2, Rng(12)),
                 ::testing::ExitedWithCode(1), "illumination");
+    // A negative sigma would mirror a pattern or switch noise off.
+    SensorParams prnu;
+    prnu.prnuSigma = -0.01;
+    EXPECT_EXIT(SensorSamplingLayer("s", prnu, Rng(13)),
+                ::testing::ExitedWithCode(1), "PRNU");
+    SensorParams dsnu;
+    dsnu.dsnuSigma = -0.002;
+    EXPECT_EXIT(SensorSamplingLayer("s", dsnu, Rng(14)),
+                ::testing::ExitedWithCode(1), "DSNU");
+    SensorParams read;
+    read.readNoiseSigma = -0.001;
+    EXPECT_EXIT(SensorSamplingLayer("s", read, Rng(15)),
+                ::testing::ExitedWithCode(1), "read noise");
 }
 
 } // namespace
