@@ -1,9 +1,9 @@
 /**
  * @file
  * Microbenchmarks of the ConvNet substrate: convolution forward and
- * backward throughput, the keyed noise samplers and noise-layer
- * overheads, dataset generation, and serial-vs-parallel network
- * forward scaling.
+ * backward throughput, the served pooling shapes, the keyed noise
+ * samplers and noise-layer overheads, dataset generation, and
+ * serial-vs-parallel network forward scaling.
  *
  * Pass `--csv <path>` (in addition to the usual benchmark flags) to
  * also write every measurement to a CSV file — the shared flag idiom
@@ -90,6 +90,77 @@ BM_MaxPoolForward(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MaxPoolForward);
+
+/**
+ * One forward of a pooling layer the stream workloads serve, on
+ * rectified inputs (every served pool follows a ReLU).
+ */
+template <typename Pool>
+void
+servedPoolForward(benchmark::State &state, const Shape &shape,
+                  const nn::PoolParams &params)
+{
+    Rng rng(3);
+    Pool pool("p", params);
+    Tensor x(shape);
+    x.fillGaussian(rng, 0.0f, 1.0f);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = std::max(x[i], 0.0f);
+    Tensor y;
+    for (auto _ : state) {
+        pool.forward({&x}, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+}
+
+void
+BM_ServedMaxPool(benchmark::State &state, Shape shape,
+                 nn::PoolParams params)
+{
+    servedPoolForward<nn::MaxPoolLayer>(state, shape, params);
+}
+BENCHMARK_CAPTURE(BM_ServedMaxPool, pool1, Shape(1, 32, 32, 32),
+                  nn::PoolParams{3, 2, 0});
+BENCHMARK_CAPTURE(BM_ServedMaxPool, pool2, Shape(1, 48, 16, 16),
+                  nn::PoolParams{3, 2, 0});
+BENCHMARK_CAPTURE(BM_ServedMaxPool, inception, Shape(1, 88, 8, 8),
+                  nn::PoolParams{3, 1, 1});
+
+/**
+ * One backward of pool1's max pool after a forward of the same input,
+ * as training runs it; BM_ServedMaxPool/pool1 is its forward.
+ */
+void
+BM_MaxPoolBackward(benchmark::State &state)
+{
+    Rng rng(3);
+    nn::MaxPoolLayer pool("p", nn::PoolParams{3, 2, 0});
+    Tensor x(Shape(1, 32, 32, 32));
+    x.fillGaussian(rng, 0.0f, 1.0f);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = std::max(x[i], 0.0f);
+    Tensor y;
+    pool.forward({&x}, y);
+    Tensor gy(y.shape(), 1.0f);
+    std::vector<Tensor> gx{Tensor(x.shape())};
+    for (auto _ : state) {
+        gx[0].zero();
+        pool.backward({&x}, y, gy, gx);
+        benchmark::DoNotOptimize(gx[0].data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MaxPoolBackward);
+
+void
+BM_ServedAvgPool(benchmark::State &state, Shape shape,
+                 nn::PoolParams params)
+{
+    servedPoolForward<nn::AvgPoolLayer>(state, shape, params);
+}
+BENCHMARK_CAPTURE(BM_ServedAvgPool, global, Shape(1, 128, 8, 8),
+                  nn::PoolParams{8, 1, 0});
 
 void
 BM_Im2Col(benchmark::State &state)

@@ -1,5 +1,6 @@
 #include "nn/pool.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -24,17 +25,211 @@ PoolParams::outExtent(std::size_t in) const
 
 namespace {
 
-void
-validate(const char *what, const std::string &name,
-         const PoolParams &params, const std::vector<Shape> &in)
+/** Outputs, or planes, per chunk of the kernels' stack buffers. */
+constexpr std::size_t kChunk = 64;
+
+constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+/**
+ * Validate @p params on input @p in and return the pooled shape.
+ * Allocation-free, so forward() runs it on every pass.
+ */
+Shape
+pooledShape(const char *what, const std::string &name,
+            const PoolParams &params, const Shape &in)
 {
-    fatal_if(in.size() != 1, what, " '", name, "' takes one input");
     fatal_if(params.kernel == 0 || params.stride == 0, what, " '", name,
              "': kernel and stride must be positive");
-    fatal_if(in[0].h + 2 * params.pad < params.kernel ||
-                 in[0].w + 2 * params.pad < params.kernel,
+    fatal_if(in.h + 2 * params.pad < params.kernel ||
+                 in.w + 2 * params.pad < params.kernel,
              what, " '", name, "': window larger than padded input ",
-             in[0].str());
+             in.str());
+    const Shape out(in.n, in.c, params.outExtent(in.h),
+                    params.outExtent(in.w));
+    // Window starts grow with the output index, so every window holds
+    // an input pixel iff the first one ends after the input's start
+    // and the last one starts before its end.
+    auto covered = [&](std::size_t in_extent, std::size_t out_extent) {
+        return in_extent > 0 && params.pad < params.kernel &&
+               (out_extent - 1) * params.stride < in_extent + params.pad;
+    };
+    fatal_if(!covered(in.h, out.h) || !covered(in.w, out.w), what, " '",
+             name, "': a window holds no input pixel (kernel ",
+             params.kernel, ", stride ", params.stride, ", pad ",
+             params.pad, ") on ", in.str());
+    return out;
+}
+
+/** An index range [begin, end) along one axis: pixels or outputs. */
+struct PoolRun {
+    std::size_t begin;
+    std::size_t end;
+
+    std::size_t size() const { return end - begin; }
+};
+
+/**
+ * Window geometry along one spatial axis: output o's window covers
+ * input pixels [o * stride - pad, o * stride - pad + kernel), clipped
+ * to [0, in). pooledShape() guarantees no window is empty.
+ */
+struct Axis {
+    std::size_t in;
+    std::size_t out;
+    std::size_t kernel;
+    std::size_t stride;
+    std::size_t pad;
+
+    /** Input pixels of output o's window. */
+    PoolRun
+    window(std::size_t o) const
+    {
+        const std::size_t start = o * stride;
+        return {start > pad ? start - pad : 0,
+                std::min(start + kernel - pad, in)};
+    }
+
+    /** Outputs whose window tap t lands on an input pixel. */
+    PoolRun
+    reach(std::size_t t) const
+    {
+        // Output o's tap t sits at input pixel o * stride + t - pad.
+        const std::size_t lo =
+            t >= pad ? 0 : (pad - t + stride - 1) / stride;
+        const std::size_t hi =
+            in + pad > t ? std::min((in + pad - t - 1) / stride + 1, out)
+                         : 0;
+        return {std::min(lo, hi), hi};
+    }
+};
+
+/** The window grid of one pass over the (item, channel) planes. */
+struct Grid {
+    Grid(const PoolParams &p, const Shape &in, const Shape &out)
+        : h{in.h, out.h, p.kernel, p.stride, p.pad},
+          w{in.w, out.w, p.kernel, p.stride, p.pad}
+    {
+    }
+
+    Axis h;
+    Axis w;
+};
+
+/**
+ * Max-pools one input plane @p x into the output plane @p y as a row
+ * kernel: each window tap of output row oh is folded across the run of
+ * outputs it reaches, taps in (kh, kw) order.
+ */
+void
+maxPoolPlane(const Grid &g, const float *x, float *y)
+{
+    const std::size_t stride = g.w.stride;
+    for (std::size_t oh = 0; oh < g.h.out; ++oh) {
+        const PoolRun rows = g.h.window(oh);
+        for (std::size_t ow0 = 0; ow0 < g.w.out; ow0 += kChunk) {
+            const std::size_t ow1 = std::min(ow0 + kChunk, g.w.out);
+            float best[kChunk];
+            std::fill_n(best, ow1 - ow0, kNegInf);
+            for (std::size_t ih = rows.begin; ih < rows.end; ++ih) {
+                const float *row = x + ih * g.w.in;
+                for (std::size_t kw = 0; kw < g.w.kernel; ++kw) {
+                    const PoolRun outs = g.w.reach(kw);
+                    const std::size_t lo = std::max(outs.begin, ow0);
+                    const std::size_t hi = std::min(outs.end, ow1);
+                    if (lo >= hi)
+                        continue;
+                    // Outputs lo, lo + 1, ... take this tap from src[0],
+                    // src[stride], ...; reach() keeps them inside the row.
+                    const float *src = row + (lo * stride + kw - g.w.pad);
+                    float *b = best + (lo - ow0);
+                    for (std::size_t j = 0; j < hi - lo; ++j) {
+                        const float v = src[j * stride];
+                        b[j] = v > b[j] ? v : b[j];
+                    }
+                }
+            }
+            std::copy(best, best + (ow1 - ow0), y + oh * g.w.out + ow0);
+        }
+    }
+}
+
+/**
+ * Average-pools @p n consecutive input planes from @p x into their
+ * output planes at @p y. Each output's window taps are added in
+ * (kh, kw) order, folded across the planes at once: one plane's tap
+ * lies one input plane after the previous plane's.
+ */
+void
+avgPoolPlanes(const Grid &g, const float *x, float *y, std::size_t n)
+{
+    const std::size_t in_plane = g.h.in * g.w.in;
+    const std::size_t out_plane = g.h.out * g.w.out;
+    double acc[kChunk];
+    for (std::size_t oh = 0; oh < g.h.out; ++oh) {
+        const PoolRun rows = g.h.window(oh);
+        for (std::size_t ow = 0; ow < g.w.out; ++ow) {
+            const PoolRun cols = g.w.window(ow);
+            std::fill_n(acc, n, 0.0);
+            for (std::size_t ih = rows.begin; ih < rows.end; ++ih) {
+                for (std::size_t iw = cols.begin; iw < cols.end; ++iw) {
+                    const float *src = x + (ih * g.w.in + iw);
+                    for (std::size_t j = 0; j < n; ++j)
+                        acc[j] += static_cast<double>(src[j * in_plane]);
+                }
+            }
+            const auto count = static_cast<double>(rows.size() * cols.size());
+            float *dst = y + (oh * g.w.out + ow);
+            for (std::size_t j = 0; j < n; ++j)
+                dst[j * out_plane] = static_cast<float>(acc[j] / count);
+        }
+    }
+}
+
+/**
+ * Max-pool backward of one plane, output by output: find the window's
+ * first strict maximum, then add the output gradient there.
+ */
+void
+maxPoolBackwardPlane(const Grid &g, const float *x, const float *gy,
+                     float *dx)
+{
+    for (std::size_t oh = 0; oh < g.h.out; ++oh) {
+        const PoolRun rows = g.h.window(oh);
+        for (std::size_t ow = 0; ow < g.w.out; ++ow) {
+            const PoolRun cols = g.w.window(ow);
+            // A window of only -inf and NaN routes to its first pixel.
+            std::size_t arg = rows.begin * g.w.in + cols.begin;
+            float best = kNegInf;
+            for (std::size_t ih = rows.begin; ih < rows.end; ++ih) {
+                for (std::size_t iw = cols.begin; iw < cols.end; ++iw) {
+                    const std::size_t at = ih * g.w.in + iw;
+                    const bool wins = x[at] > best;
+                    best = wins ? x[at] : best;
+                    arg = wins ? at : arg;
+                }
+            }
+            dx[arg] += gy[oh * g.w.out + ow];
+        }
+    }
+}
+
+/** Average-pool backward of one plane, output by output. */
+void
+avgPoolBackwardPlane(const Grid &g, const float *gy, float *dx)
+{
+    for (std::size_t oh = 0; oh < g.h.out; ++oh) {
+        const PoolRun rows = g.h.window(oh);
+        for (std::size_t ow = 0; ow < g.w.out; ++ow) {
+            const PoolRun cols = g.w.window(ow);
+            const float grad =
+                gy[oh * g.w.out + ow] /
+                static_cast<float>(rows.size() * cols.size());
+            for (std::size_t ih = rows.begin; ih < rows.end; ++ih) {
+                for (std::size_t iw = cols.begin; iw < cols.end; ++iw)
+                    dx[ih * g.w.in + iw] += grad;
+            }
+        }
+    }
 }
 
 } // namespace
@@ -47,9 +242,8 @@ MaxPoolLayer::MaxPoolLayer(std::string name, PoolParams params)
 Shape
 MaxPoolLayer::outputShape(const std::vector<Shape> &in) const
 {
-    validate("maxpool", name(), params_, in);
-    return Shape(in[0].n, in[0].c, params_.outExtent(in[0].h),
-                 params_.outExtent(in[0].w));
+    fatal_if(in.size() != 1, "maxpool '", name(), "' takes one input");
+    return pooledShape("maxpool", name(), params_, in[0]);
 }
 
 void
@@ -58,57 +252,16 @@ MaxPoolLayer::forward(const std::vector<const Tensor *> &in, Tensor &out,
 {
     const Tensor &x = *in[0];
     const Shape &is = x.shape();
-    // Shape math inline; the validating outputShape() only runs when
-    // the output must be (re)built, keeping the steady-state forward
-    // free of the temporary shape vector (and of any allocation).
-    const Shape os(is.n, is.c, params_.outExtent(is.h),
-                   params_.outExtent(is.w));
+    const Shape os = pooledShape("maxpool", name(), params_, is);
     if (out.shape() != os)
-        out = Tensor(outputShape({is}));
-    argmax_.assign(os.size(), 0);
+        out = Tensor(os);
+    pooled_ = is;
 
+    const Grid g(params_, is, os);
     // Each (item, channel) plane is independent.
     parallelFor(ctx, os.n * os.c, [&](std::size_t plane) {
-        const std::size_t n = plane / os.c;
-        const std::size_t c = plane % os.c;
-        {
-            for (std::size_t oh = 0; oh < os.h; ++oh) {
-                for (std::size_t ow = 0; ow < os.w; ++ow) {
-                    const long h0 = static_cast<long>(oh *
-                                                      params_.stride) -
-                                    static_cast<long>(params_.pad);
-                    const long w0 = static_cast<long>(ow *
-                                                      params_.stride) -
-                                    static_cast<long>(params_.pad);
-                    float best =
-                        -std::numeric_limits<float>::infinity();
-                    std::size_t best_idx = 0;
-                    for (std::size_t kh = 0; kh < params_.kernel; ++kh) {
-                        const long ih = h0 + static_cast<long>(kh);
-                        if (ih < 0 || ih >= static_cast<long>(is.h))
-                            continue;
-                        for (std::size_t kw = 0; kw < params_.kernel;
-                             ++kw) {
-                            const long iw = w0 + static_cast<long>(kw);
-                            if (iw < 0 ||
-                                iw >= static_cast<long>(is.w)) {
-                                continue;
-                            }
-                            const std::size_t idx = is.index(
-                                n, c, static_cast<std::size_t>(ih),
-                                static_cast<std::size_t>(iw));
-                            if (x[idx] > best) {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    const std::size_t oidx = os.index(n, c, oh, ow);
-                    out[oidx] = best;
-                    argmax_[oidx] = best_idx;
-                }
-            }
-        }
+        maxPoolPlane(g, x.data() + plane * is.planeSize(),
+                     out.data() + plane * os.planeSize());
     });
 }
 
@@ -117,18 +270,20 @@ MaxPoolLayer::backward(const std::vector<const Tensor *> &in,
                        const Tensor &out, const Tensor &out_grad,
                        std::vector<Tensor> &in_grads, ExecContext &ctx)
 {
-    (void)in;
-    panic_if(argmax_.size() != out.size(),
-             "maxpool '", name(), "' backward without forward");
+    (void)out;
+    const Tensor &x = *in[0];
+    const Shape &is = x.shape();
+    panic_if(pooled_ != is, "maxpool '", name(),
+             "' backward without forward");
+    const Shape os = pooledShape("maxpool", name(), params_, is);
     Tensor &dx = in_grads[0];
-    // Overlapping windows may scatter to the same input cell, but
-    // only within one batch item: parallelize over items.
-    const Shape &os = out.shape();
-    const std::size_t per_item = os.c * os.h * os.w;
-    parallelFor(ctx, os.n, [&](std::size_t n) {
-        const std::size_t begin = n * per_item;
-        for (std::size_t i = begin; i < begin + per_item; ++i)
-            dx[argmax_[i]] += out_grad[i];
+
+    // Windows overlap spatially but never across planes.
+    const Grid g(params_, is, os);
+    parallelFor(ctx, os.n * os.c, [&](std::size_t plane) {
+        maxPoolBackwardPlane(g, x.data() + plane * is.planeSize(),
+                             out_grad.data() + plane * os.planeSize(),
+                             dx.data() + plane * is.planeSize());
     });
 }
 
@@ -153,9 +308,8 @@ AvgPoolLayer::AvgPoolLayer(std::string name, PoolParams params)
 Shape
 AvgPoolLayer::outputShape(const std::vector<Shape> &in) const
 {
-    validate("avgpool", name(), params_, in);
-    return Shape(in[0].n, in[0].c, params_.outExtent(in[0].h),
-                 params_.outExtent(in[0].w));
+    fatal_if(in.size() != 1, "avgpool '", name(), "' takes one input");
+    return pooledShape("avgpool", name(), params_, in[0]);
 }
 
 void
@@ -164,51 +318,17 @@ AvgPoolLayer::forward(const std::vector<const Tensor *> &in, Tensor &out,
 {
     const Tensor &x = *in[0];
     const Shape &is = x.shape();
-    // See MaxPoolLayer::forward: validate only when (re)building.
-    const Shape os(is.n, is.c, params_.outExtent(is.h),
-                   params_.outExtent(is.w));
+    const Shape os = pooledShape("avgpool", name(), params_, is);
     if (out.shape() != os)
-        out = Tensor(outputShape({is}));
+        out = Tensor(os);
 
-    parallelFor(ctx, os.n * os.c, [&](std::size_t plane) {
-        const std::size_t n = plane / os.c;
-        const std::size_t c = plane % os.c;
-        {
-            for (std::size_t oh = 0; oh < os.h; ++oh) {
-                for (std::size_t ow = 0; ow < os.w; ++ow) {
-                    const long h0 = static_cast<long>(oh *
-                                                      params_.stride) -
-                                    static_cast<long>(params_.pad);
-                    const long w0 = static_cast<long>(ow *
-                                                      params_.stride) -
-                                    static_cast<long>(params_.pad);
-                    double acc = 0.0;
-                    std::size_t count = 0;
-                    for (std::size_t kh = 0; kh < params_.kernel; ++kh) {
-                        const long ih = h0 + static_cast<long>(kh);
-                        if (ih < 0 || ih >= static_cast<long>(is.h))
-                            continue;
-                        for (std::size_t kw = 0; kw < params_.kernel;
-                             ++kw) {
-                            const long iw = w0 + static_cast<long>(kw);
-                            if (iw < 0 ||
-                                iw >= static_cast<long>(is.w)) {
-                                continue;
-                            }
-                            acc += x.at(n, c,
-                                        static_cast<std::size_t>(ih),
-                                        static_cast<std::size_t>(iw));
-                            ++count;
-                        }
-                    }
-                    out.at(n, c, oh, ow) =
-                        count ? static_cast<float>(acc /
-                                                   static_cast<double>(
-                                                       count))
-                              : 0.0f;
-                }
-            }
-        }
+    const Grid g(params_, is, os);
+    const std::size_t planes = os.n * os.c;
+    parallelFor(ctx, (planes + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+        const std::size_t p0 = chunk * kChunk;
+        avgPoolPlanes(g, x.data() + p0 * is.planeSize(),
+                      out.data() + p0 * os.planeSize(),
+                      std::min(kChunk, planes - p0));
     });
 }
 
@@ -217,59 +337,16 @@ AvgPoolLayer::backward(const std::vector<const Tensor *> &in,
                        const Tensor &out, const Tensor &out_grad,
                        std::vector<Tensor> &in_grads, ExecContext &ctx)
 {
-    const Tensor &x = *in[0];
-    const Shape &is = x.shape();
-    const Shape &os = out.shape();
+    (void)out;
+    const Shape &is = in[0]->shape();
+    const Shape os = pooledShape("avgpool", name(), params_, is);
     Tensor &dx = in_grads[0];
 
-    // Windows overlap spatially but never across (item, channel)
-    // planes: parallelize over planes.
+    // Windows overlap spatially but never across planes.
+    const Grid g(params_, is, os);
     parallelFor(ctx, os.n * os.c, [&](std::size_t plane) {
-        const std::size_t n = plane / os.c;
-        const std::size_t c = plane % os.c;
-        {
-            for (std::size_t oh = 0; oh < os.h; ++oh) {
-                for (std::size_t ow = 0; ow < os.w; ++ow) {
-                    const long h0 = static_cast<long>(oh *
-                                                      params_.stride) -
-                                    static_cast<long>(params_.pad);
-                    const long w0 = static_cast<long>(ow *
-                                                      params_.stride) -
-                                    static_cast<long>(params_.pad);
-                    std::size_t count = 0;
-                    for (std::size_t kh = 0; kh < params_.kernel; ++kh) {
-                        const long ih = h0 + static_cast<long>(kh);
-                        if (ih < 0 || ih >= static_cast<long>(is.h))
-                            continue;
-                        for (std::size_t kw = 0; kw < params_.kernel;
-                             ++kw) {
-                            const long iw = w0 + static_cast<long>(kw);
-                            if (iw >= 0 && iw < static_cast<long>(is.w))
-                                ++count;
-                        }
-                    }
-                    if (count == 0)
-                        continue;
-                    const float g = out_grad.at(n, c, oh, ow) /
-                                    static_cast<float>(count);
-                    for (std::size_t kh = 0; kh < params_.kernel; ++kh) {
-                        const long ih = h0 + static_cast<long>(kh);
-                        if (ih < 0 || ih >= static_cast<long>(is.h))
-                            continue;
-                        for (std::size_t kw = 0; kw < params_.kernel;
-                             ++kw) {
-                            const long iw = w0 + static_cast<long>(kw);
-                            if (iw < 0 ||
-                                iw >= static_cast<long>(is.w)) {
-                                continue;
-                            }
-                            dx.at(n, c, static_cast<std::size_t>(ih),
-                                  static_cast<std::size_t>(iw)) += g;
-                        }
-                    }
-                }
-            }
-        }
+        avgPoolBackwardPlane(g, out_grad.data() + plane * os.planeSize(),
+                             dx.data() + plane * is.planeSize());
     });
 }
 

@@ -5,7 +5,13 @@
  * Pooling windows follow Caffe's ceil-mode semantics (GoogLeNet's
  * pool layers rely on it): the output extent is
  * ceil((in + 2*pad - kernel) / stride) + 1, and windows are clipped to
- * the padded input.
+ * the padded input. A geometry in which some window holds no input
+ * pixel is rejected.
+ *
+ * Max pooling runs as a row kernel: each window tap is folded across
+ * the run of outputs of one row that it reaches. Average pooling folds
+ * each output's window across a chunk of planes (DESIGN.md §9,
+ * "Pooling").
  */
 
 #ifndef REDEYE_NN_POOL_HH
@@ -27,7 +33,11 @@ struct PoolParams {
     std::size_t outExtent(std::size_t in) const;
 };
 
-/** Max pooling: propagate the largest response in the window. */
+/**
+ * Max pooling: propagate the largest response in the window, the
+ * first tap that is strictly greater than every earlier one (NaN taps
+ * never win). Backward recomputes that tap from the input it is given.
+ */
 class MaxPoolLayer : public Layer
 {
   public:
@@ -57,7 +67,7 @@ class MaxPoolLayer : public Layer
 
   private:
     PoolParams params_;
-    std::vector<std::size_t> argmax_; ///< forward cache for backward
+    Shape pooled_; ///< input shape of the last forward, for backward
 };
 
 /** Average pooling over the window. */
