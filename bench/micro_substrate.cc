@@ -1,9 +1,9 @@
 /**
  * @file
  * Microbenchmarks of the ConvNet substrate: convolution forward and
- * backward throughput, the served pooling shapes, the keyed noise
- * samplers and noise-layer overheads, dataset generation, and
- * serial-vs-parallel network forward scaling.
+ * backward throughput, the served pooling shapes, Tensor::absMax, the
+ * keyed noise samplers and noise-layer overheads, dataset generation,
+ * and serial-vs-parallel network forward scaling.
  *
  * Pass `--csv <path>` (in addition to the usual benchmark flags) to
  * also write every measurement to a CSV file — the shared flag idiom
@@ -176,6 +176,24 @@ BM_Im2Col(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Im2Col);
+
+/**
+ * Tensor::absMax of conv1's output (32 x 32 x 32 floats): an analog
+ * frame takes the peak of a tensor this size several times.
+ */
+void
+BM_TensorAbsMax(benchmark::State &state)
+{
+    Rng rng(12);
+    Tensor x(Shape(1, 32, 32, 32));
+    x.fillGaussian(rng, 0.0f, 1.0f);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(x.absMax());
+    state.counters["elements"] = benchmark::Counter(
+        static_cast<double>(x.size()),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_TensorAbsMax);
 
 void
 BM_GaussianNoiseLayer(benchmark::State &state)

@@ -158,35 +158,66 @@ DynamicComparator::accrue(std::size_t decisions, std::size_t forced,
     forcedCount_ += forced;
 }
 
-bool
-DecisionBatch::decideNearTie(double delta, std::uint64_t counter)
+double
+DecisionTally::energyJ(const DecisionConstants &k) const
 {
-    Decision d = cmp_->settle(delta + cmp_->params().inputNoiseRms *
-                                          keyedGaussian(key_, counter));
-    if (d.forced) {
-        // keyedGaussian reads the top 52 bits of this hash; the coin
-        // is its low bit.
-        d.aGreater = (keyedBits(key_, 2 * counter) & 1) != 0;
-        ++nearForced_;
-    }
-    ++near_;
-    nearJ_ += d.energyJ;
-    return d.aGreater;
+    const double nepers =
+        static_cast<double>(logged) * std::log(k.swing) -
+        (std::log(margins) + marginExp * std::numbers::ln2);
+    return static_cast<double>(far) * k.nominalJ + k.regenJ * nepers +
+           static_cast<double>(tiesForced) * k.forcedJ +
+           static_cast<double>(ties - tiesForced) * k.tieJ + nearJ;
+}
+
+DecisionTally
+DecisionLanes::tally(std::size_t lane) const
+{
+    DecisionTally t;
+    t.far = static_cast<std::size_t>(far_[lane]);
+    t.logged = static_cast<std::size_t>(logged_[lane]);
+    t.margins = margins_[lane];
+    t.marginExp = static_cast<int>(marginExp_[lane]);
+    t.ties = static_cast<std::size_t>(ties_[lane]);
+    t.tiesForced = static_cast<std::size_t>(tiesForced_[lane]);
+    t.near = static_cast<std::size_t>(near_[lane]);
+    t.nearForced = static_cast<std::size_t>(nearForced_[lane]);
+    t.nearJ = nearJ_[lane];
+    return t;
 }
 
 void
-DecisionBatch::accrue()
+DecisionLanes::renormalize()
 {
-    const double nepers =
-        static_cast<double>(logged_) * std::log(k_.swing) -
-        (std::log(margins_) + marginExp_ * std::numbers::ln2);
-    const double energy =
-        static_cast<double>(far_) * k_.nominalJ + k_.regenJ * nepers +
-        static_cast<double>(tiesForced_) * k_.forcedJ +
-        static_cast<double>(ties_ - tiesForced_) * k_.tieJ + nearJ_;
-    cmp_->accrue(far_ + ties_ + near_, tiesForced_ + nearForced_,
-                 energy);
-    *this = DecisionBatch(*cmp_, k_, key_);
+    for (std::size_t l = 0; l < lanes::kWidth; ++l) {
+        if (margins_[l] < 0x1p-512) {
+            int e = 0;
+            margins_[l] = std::frexp(margins_[l], &e);
+            marginExp_[l] += e;
+        }
+    }
+}
+
+void
+DecisionLanes::decideNear(const lanes::F64 &delta,
+                          const lanes::U64 &counter,
+                          const lanes::I64 &near, lanes::I64 &greater)
+{
+    for (std::size_t l = 0; l < lanes::kWidth; ++l) {
+        if (!near[l])
+            continue;
+        Decision d = cmp_->settle(
+            delta[l] +
+            cmp_->params().inputNoiseRms * keyedGaussian(key_, counter[l]));
+        if (d.forced) {
+            // keyedGaussian reads the top 52 bits of this hash; the
+            // coin is its low bit.
+            d.aGreater = (keyedBits(key_, 2 * counter[l]) & 1) != 0;
+            ++nearForced_[l];
+        }
+        ++near_[l];
+        nearJ_[l] += d.energyJ;
+        greater[l] = d.aGreater ? -1 : 0;
+    }
 }
 
 } // namespace analog

@@ -9,8 +9,9 @@
  * the comparator fails to deliver a result in time" (Section IV-A).
  *
  * compare() replays one decision with its own sequential draws.
- * DecisionBatch decides many in closed form (DESIGN.md §15): noise is
- * drawn, counter-keyed, only for a decision it can change.
+ * DecisionLanes decides many in closed form, one comparator per SIMD
+ * lane (DESIGN.md §15): noise is drawn, counter-keyed, only for a
+ * decision it can change.
  */
 
 #ifndef REDEYE_ANALOG_COMPARATOR_HH
@@ -21,6 +22,7 @@
 #include <cstdint>
 
 #include "analog/process.hh"
+#include "core/lanes.hh"
 #include "core/rng.hh"
 
 namespace redeye {
@@ -147,89 +149,135 @@ class DynamicComparator
 };
 
 /**
- * One call's closed-form decisions on one comparator (DESIGN.md §15).
- * decide() takes a decision's noiseless margin delta = a - b:
+ * One comparator's closed-form decisions (DESIGN.md §15): counts of
+ * far decisions, exact ties and near ties, and the running product of
+ * the far margins that prices their regeneration.
+ */
+struct DecisionTally {
+    std::size_t far = 0;    ///< decisions outside the band
+    std::size_t logged = 0; ///< ... with |delta| < swing
+    double margins = 1.0;   ///< product of their |delta|, times
+    int marginExp = 0;      ///< 2^marginExp
+    std::size_t ties = 0;
+    std::size_t tiesForced = 0;
+    std::size_t near = 0;   ///< near ties
+    std::size_t nearForced = 0;
+    double nearJ = 0.0;     ///< their energy [J]
+
+    std::size_t decisions() const { return far + ties + near; }
+
+    std::size_t forced() const { return tiesForced + nearForced; }
+
+    /**
+     * Energy of the tallied decisions [J]: far ones at the noiseless
+     * margin, with one log for the whole product, and ties at the
+     * constants of @p k.
+     */
+    double energyJ(const DecisionConstants &k) const;
+};
+
+/**
+ * One call's closed-form decisions on lanes::kWidth comparators at
+ * once, one per lane (DESIGN.md §15, "Column lanes"). decide() takes
+ * each lane's noiseless margin delta = a - b:
  *
  *  - |delta| > band: sign(delta), charged at the noiseless margin;
  *  - delta == 0, an exact tie: the noise alone decides, so the
  *    outcome is a fair coin; one keyed uniform sets the forced flag,
  *    and the energy is the tie constant's;
  *  - otherwise, a near tie: keyedGaussian(key, counter) supplies
- *    the noise, and settle() the rest.
+ *    the noise, and settle() the rest, in a per-lane scalar step.
  *
  * Every draw of decision @p counter comes from the hash behind
  * keyedGaussian(key, counter), keyedBits(key, 2 counter), so it is a
- * pure function of the decision's own index. A far decision's ln(swing / |delta|) joins
- * one running product of margins, renormalized with frexp, so a batch
- * takes one log instead of one per decision. accrue() charges the
- * comparator once.
+ * pure function of the decision's own index. Each lane tallies its
+ * own decisions in the order it is given them: a far decision's
+ * margin joins the lane's running product, renormalized with frexp
+ * after any factor takes it below 2^-512, so a lane takes one log
+ * instead of one per decision. All lanes' comparators share
+ * @p cmp's parameters.
  */
-class DecisionBatch
+class DecisionLanes
 {
   public:
-    DecisionBatch(DynamicComparator &cmp, const DecisionConstants &k,
-                  std::uint64_t key)
+    DecisionLanes(const DynamicComparator &cmp,
+                  const DecisionConstants &k, std::uint64_t key)
         : cmp_(&cmp), k_(k), key_(key),
           tieForcedBelow_(static_cast<std::uint64_t>(
               std::ceil(k.tieForcedP * 0x1p53)))
     {
     }
 
-    /** Decide a > b from the noiseless margin @p delta = a - b. */
-    bool
-    decide(double delta, std::uint64_t counter)
+    /**
+     * Decide a > b, from the noiseless margins @p delta, in the lanes
+     * of @p active; lane l is decision @p counter[l]. Sets
+     * @p greater to the lanes that decide a > b. An exact tie's coin
+     * is read only in the lanes of @p routes: elsewhere the caller
+     * routes one value whichever way it goes, so the tie is tallied,
+     * its lane of @p greater is 0, and the tie's hash stays off the
+     * caller's routing.
+     */
+    void
+    decide(const lanes::F64 &delta, const lanes::U64 &counter,
+           const lanes::I64 &active, const lanes::I64 &routes,
+           lanes::I64 &greater)
     {
-        const double mag = std::fabs(delta);
-        if (mag > k_.band) {
-            ++far_;
-            if (mag < k_.swing) {
-                margins_ *= mag;
-                ++logged_;
-                // Checked after every factor, the product never falls
-                // below 2^-512 times one margin: far from underflow.
-                if (margins_ < 0x1p-512)
-                    renormalize();
-            }
-            return delta > 0.0;
-        }
-        if (delta == 0.0) {
+        // |delta|: the sign bits cleared.
+        const lanes::F64 mag =
+            (lanes::F64)((lanes::I64)delta & 0x7fffffffffffffffLL);
+        const lanes::I64 far = active & (mag > k_.band);
+        const lanes::I64 tie = active & (delta == 0.0);
+        const lanes::I64 near = active & ~far & ~tie;
+        greater = far & (delta > 0.0);
+
+        // Masks are -1 where set: subtracting one counts it.
+        far_ -= far;
+        const lanes::I64 logged = far & (mag < k_.swing);
+        logged_ -= logged;
+        const lanes::F64 one = lanes::F64{} + 1.0;
+        margins_ *= logged ? mag : one;
+        if (lanes::any(margins_ < 0x1p-512))
+            renormalize();
+
+        if (lanes::any(tie)) {
             // The top 53 bits set the forced flag, the low bit the
             // coin.
-            const std::uint64_t h = keyedBits(key_, 2 * counter);
-            ++ties_;
-            tiesForced_ += (h >> 11) < tieForcedBelow_;
-            return (h & 1) != 0;
+            lanes::U64 h = 2 * counter;
+            lanes::keyedBits(key_, h);
+            ties_ -= tie;
+            tiesForced_ -= tie & ((h >> 11) < tieForcedBelow_);
+            const lanes::I64 coin = tie & routes;
+            if (lanes::any(coin))
+                greater |= coin & -(lanes::I64)(h & 1);
         }
-        return decideNearTie(delta, counter);
+        if (lanes::any(near))
+            decideNear(delta, counter, near, greater);
     }
 
-    /** Charge the tallied decisions to the comparator and clear. */
-    void accrue();
+    /** Lane @p lane's decisions so far. */
+    DecisionTally tally(std::size_t lane) const;
 
   private:
-    bool decideNearTie(double delta, std::uint64_t counter);
+    /** frexp the lanes whose product fell below 2^-512. */
+    void renormalize();
 
-    void
-    renormalize()
-    {
-        int e = 0;
-        margins_ = std::frexp(margins_, &e);
-        marginExp_ += e;
-    }
+    /** The near ties of @p near, lane by lane, into @p greater. */
+    void decideNear(const lanes::F64 &delta, const lanes::U64 &counter,
+                    const lanes::I64 &near, lanes::I64 &greater);
 
-    DynamicComparator *cmp_;
+    lanes::I64 far_{};
+    lanes::I64 logged_{};
+    lanes::F64 margins_ = lanes::F64{} + 1.0;
+    lanes::I64 marginExp_{};
+    lanes::I64 ties_{};
+    lanes::I64 tiesForced_{};
+    lanes::I64 near_{};
+    lanes::I64 nearForced_{};
+    lanes::F64 nearJ_{};
+    const DynamicComparator *cmp_;
     DecisionConstants k_;
     std::uint64_t key_;
     std::uint64_t tieForcedBelow_; ///< 53-bit draws below force a tie
-    std::size_t far_ = 0;     ///< decisions outside the band
-    std::size_t logged_ = 0;  ///< ... with |delta| < swing
-    double margins_ = 1.0;    ///< product of their |delta|, times
-    int marginExp_ = 0;       ///< 2^marginExp_
-    std::size_t ties_ = 0;
-    std::size_t tiesForced_ = 0;
-    std::size_t near_ = 0;    ///< near ties
-    std::size_t nearForced_ = 0;
-    double nearJ_ = 0.0;      ///< their energy [J]
 };
 
 } // namespace analog

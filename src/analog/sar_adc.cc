@@ -78,37 +78,23 @@ SarAdc::convert(double v_in, Rng &rng)
     return code;
 }
 
-void
-SarAdc::convertKeyed(std::span<const double> volts,
-                     std::span<std::uint32_t> codes,
-                     const DecisionConstants &k, std::uint64_t key,
-                     std::uint64_t first)
+std::array<double, SarAdc::kMaxResolution>
+SarAdc::thresholds() const
 {
-    panic_if(codes.size() != volts.size(), "convertKeyed: ",
-             volts.size(), " inputs but ", codes.size(), " codes");
     const double c_sigma = totalCapF();
-    double threshold[kMaxResolution];
+    std::array<double, kMaxResolution> threshold{};
     for (unsigned i = 0; i < bits_; ++i)
         threshold[i] = vref() * capsF_[i] / c_sigma;
+    return threshold;
+}
 
-    DecisionBatch batch(comparator_, k, key);
-    for (std::size_t j = 0; j < volts.size(); ++j) {
-        const double v = std::clamp(volts[j], 0.0, vref());
-        const std::uint64_t base = (first + j) * kMaxResolution;
-        std::uint32_t code = 0;
-        double dac = 0.0; // voltage of the bits switched to Vref
-        for (unsigned i = bits_; i-- > 0;) {
-            const double trial = dac + threshold[i];
-            if (batch.decide(v - trial, base + i)) {
-                code |= 1u << i;
-                dac = trial;
-            }
-        }
-        codes[j] = code;
-    }
-    batch.accrue();
-
-    energyJ_ += static_cast<double>(volts.size()) *
+void
+SarAdc::accrueConversions(std::size_t conversions, std::size_t decisions,
+                          std::size_t forced, double comparator_j)
+{
+    comparator_.accrue(decisions, forced, comparator_j);
+    const double c_sigma = totalCapF();
+    energyJ_ += static_cast<double>(conversions) *
                 params_.switchingAlpha * c_sigma * vref() * vref();
     energyJ_ += comparator_.energyJ();
     comparator_.resetEnergy();

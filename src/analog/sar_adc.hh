@@ -11,8 +11,9 @@
  *  - real successive-approximation search over a per-instance
  *    mismatched capacitor array (systematic INL/DNL),
  *  - comparator noise per bit cycle (random error), replayed per
- *    decision by convert() or drawn only where it can change a bit
- *    by convertKeyed() (DESIGN.md §15),
+ *    decision by convert() or, in a search in closed form on
+ *    thresholds(), drawn only where it can change a bit
+ *    (DESIGN.md §15),
  *  - array switching energy proportional to C_sigma = 2^n C0
  *    (the exponential energy-per-bit tradeoff of Section II-B),
  *  - ENOB measurement, used as the behavioral noise parameter
@@ -23,8 +24,9 @@
 #ifndef REDEYE_ANALOG_SAR_ADC_HH
 #define REDEYE_ANALOG_SAR_ADC_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "analog/comparator.hh"
@@ -49,6 +51,9 @@ struct SarAdcParams {
 class SarAdc
 {
   public:
+    /** Highest supported physical resolution. */
+    static constexpr unsigned kMaxResolution = 16;
+
     /**
      * @param rng Used once to draw this instance's capacitor
      * mismatch (a per-die systematic error).
@@ -72,18 +77,25 @@ class SarAdc
     std::uint32_t convert(double v_in, Rng &rng);
 
     /**
-     * Closed-form conversion of many inputs: codes[j] is distributed
-     * as convert(volts[j]) is, and the energy and decision counts are
-     * those of volts.size() convert() calls. The search runs on the
-     * noiseless voltage against the thresholds vref C_i / C_sigma,
-     * computed once per call, through a DecisionBatch with constants
-     * @p k; bit b (0 = LSB) of input j is decision
-     * (first + j) * kMaxResolution + b under @p key.
+     * Thresholds of a search in closed form: entry i (0 = LSB, i <
+     * resolution()) is vref C_i / C_sigma of this instance's
+     * mismatched array. Bit i is decided on the noiseless input
+     * against the sum of the thresholds of the bits already set, plus
+     * its own.
      */
-    void convertKeyed(std::span<const double> volts,
-                      std::span<std::uint32_t> codes,
-                      const DecisionConstants &k, std::uint64_t key,
-                      std::uint64_t first);
+    std::array<double, kMaxResolution> thresholds() const;
+
+    /**
+     * Charge @p conversions conversions searched in closed form, whose
+     * @p decisions bit decisions (@p forced of them forced) cost
+     * @p comparator_j: the energy and counts of as many convert()
+     * calls.
+     */
+    void accrueConversions(std::size_t conversions, std::size_t decisions,
+                           std::size_t forced, double comparator_j);
+
+    /** The comparator that makes this ADC's bit decisions. */
+    const DynamicComparator &comparator() const { return comparator_; }
 
     /** Closed-form decision constants of this ADC's comparator. */
     DecisionConstants
@@ -122,9 +134,6 @@ class SarAdc
     void resetCounts() { comparator_.resetCounts(); }
 
     const SarAdcParams &adcParams() const { return params_; }
-
-    /** Highest supported physical resolution. */
-    static constexpr unsigned kMaxResolution = 16;
 
   private:
     SarAdcParams params_;

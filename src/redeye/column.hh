@@ -21,7 +21,9 @@
  * give each output's noiseless charge and its noise variance, and one
  * counter-keyed Gaussian per output supplies the noise; max pooling
  * and SAR readout decide on noiseless margins and draw keyed noise
- * only for decisions it can change.
+ * only for decisions it can change. The served engines step each
+ * output row in SIMD lanes, one lane per output column, as the
+ * array's columns step together (core/lanes.hh).
  */
 
 #ifndef REDEYE_REDEYE_COLUMN_HH
@@ -94,8 +96,8 @@ class ColumnArray
      * form: each window decision is keyed by this call's base (one
      * draw from the array's Rng) and (output index, decision
      * ordinal), and draws noise only within the comparator's band
-     * (analog::DecisionBatch). Energy and forced counts are charged
-     * to each output's serving comparator.
+     * (analog::DecisionLanes, one output column per lane). Energy and
+     * forced counts are charged to each output's serving comparator.
      */
     Tensor runMaxPool(const Tensor &in, const nn::MaxPoolLayer &layer);
 
@@ -110,9 +112,9 @@ class ColumnArray
     /**
      * Quantize through the per-column SAR ADCs and reconstruct to
      * value domain (what the host receives after bit alignment). In
-     * closed form: each column converts its elements with
-     * analog::SarAdc::convertKeyed under this call's base (one draw
-     * from the array's Rng).
+     * closed form: each column searches its elements' codes on its
+     * ADC's thresholds, one column per lane of analog::DecisionLanes,
+     * under this call's base (one draw from the array's Rng).
      */
     Tensor runQuantization(const Tensor &in);
 
@@ -171,6 +173,9 @@ class ColumnArray
     const ColumnArrayConfig &config() const { return config_; }
 
   private:
+    /** The scalar closed forms the lane kernels are tested against. */
+    friend struct ColumnOracle;
+
     /** Per-column circuit instances. */
     struct Column {
         Column(const ColumnArrayConfig &config,

@@ -36,6 +36,8 @@ struct WindowParams {
     {
         return (in_w + 2 * padW - kernelW) / strideW + 1;
     }
+
+    bool operator==(const WindowParams &o) const = default;
 };
 
 /**

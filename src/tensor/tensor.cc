@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/lanes.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 
@@ -107,9 +108,33 @@ Tensor::mean() const
 float
 Tensor::absMax() const
 {
+    // A lane reduction: each lane keeps the largest |x| of its stride,
+    // then the lanes fold into one. Every step keeps m unless |x| > m,
+    // as std::max(m, std::fabs(x)) does, so a NaN never wins, and the
+    // largest of the rest does not depend on the order of the steps.
+    using lanes::F32;
+    using lanes::I32;
+    constexpr std::size_t kAccumulators = 4;
+    constexpr std::size_t kStep = kAccumulators * lanes::kWidth;
+    const float *p = data_.data();
+    const std::size_t n = data_.size();
+    F32 lane_max[kAccumulators] = {};
+    std::size_t i = 0;
+    for (; i + kStep <= n; i += kStep) {
+        for (std::size_t a = 0; a < kAccumulators; ++a) {
+            F32 x{};
+            lanes::load(x, p + i + a * lanes::kWidth);
+            x = (F32)((I32)x & 0x7fffffff); // |x|: sign bits cleared
+            lane_max[a] = lane_max[a] < x ? x : lane_max[a];
+        }
+    }
     float m = 0.0f;
-    for (float x : data_)
-        m = std::max(m, std::fabs(x));
+    for (const F32 &v : lane_max) {
+        for (std::size_t l = 0; l < lanes::kWidth; ++l)
+            m = std::max(m, v[l]);
+    }
+    for (; i < n; ++i)
+        m = std::max(m, std::fabs(p[i]));
     return m;
 }
 

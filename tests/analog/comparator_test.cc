@@ -1,5 +1,6 @@
 /** @file Tests for the dynamic comparator with metastability forcing. */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -134,17 +135,34 @@ replayed(const ProcessParams &process, double delta, int n,
             cmp.energyJ() / n};
 }
 
-/** @p n closed-form decisions at margin @p delta, one batch. */
+/**
+ * @p n closed-form decisions at margin @p delta, lane vector by lane
+ * vector; decision i is counter i.
+ */
 Outcomes
 closedForm(const ProcessParams &process, double delta, int n,
            const ComparatorParams &params = {})
 {
     DynamicComparator cmp(params, process);
-    DecisionBatch batch(cmp, cmp.decisionConstants(), 0xdec1de);
+    const DecisionConstants k = cmp.decisionConstants();
+    DecisionLanes decisions(cmp, k, 0xdec1de);
+    const lanes::F64 margin = lanes::F64{} + delta;
     int greater = 0;
-    for (int i = 0; i < n; ++i)
-        greater += batch.decide(delta, static_cast<std::uint64_t>(i));
-    batch.accrue();
+    for (int i = 0; i < n; i += static_cast<int>(lanes::kWidth)) {
+        lanes::U64 counter{};
+        for (std::size_t l = 0; l < lanes::kWidth; ++l)
+            counter[l] = static_cast<std::uint64_t>(i) + l;
+        const lanes::I64 active =
+            lanes::kIndex < static_cast<std::size_t>(n - i);
+        lanes::I64 g{};
+        decisions.decide(margin, counter, active, active, g);
+        for (std::size_t l = 0; l < lanes::kWidth; ++l)
+            greater += g[l] != 0;
+    }
+    for (std::size_t l = 0; l < lanes::kWidth; ++l) {
+        const DecisionTally t = decisions.tally(l);
+        cmp.accrue(t.decisions(), t.forced(), t.energyJ(k));
+    }
     EXPECT_EQ(cmp.decisionCount(), static_cast<std::size_t>(n));
     return {static_cast<double>(greater) / n,
             static_cast<double>(cmp.forcedCount()) / n,

@@ -1,5 +1,6 @@
 /** @file Tests for the variable-resolution SAR ADC. */
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -19,6 +20,55 @@ makeAdc(std::uint64_t seed = 1, double mismatch = 0.002)
     p.capMismatchSigma0 = mismatch;
     Rng rng(seed);
     return SarAdc(p, ProcessParams::typical(), rng);
+}
+
+/**
+ * Convert @p volts in closed form as the column array's readout does:
+ * a search on the ADC's thresholds through a lane tally, eight inputs
+ * per vector, with bit b of input j decision 16 j + b under @p key;
+ * then charge the ADC.
+ */
+std::vector<std::uint32_t>
+convertInLanes(SarAdc &adc, const std::vector<double> &volts,
+               std::uint64_t key)
+{
+    const DecisionConstants k = adc.decisionConstants();
+    const auto threshold = adc.thresholds();
+    DecisionLanes decisions(adc.comparator(), k, key);
+    std::vector<std::uint32_t> codes(volts.size());
+    for (std::size_t j = 0; j < volts.size(); j += lanes::kWidth) {
+        const std::size_t m = std::min(lanes::kWidth, volts.size() - j);
+        const lanes::I64 active = lanes::kIndex < m;
+        lanes::F64 v{};
+        lanes::U64 base{};
+        for (std::size_t l = 0; l < lanes::kWidth; ++l) {
+            base[l] = (j + l) * SarAdc::kMaxResolution;
+            if (l < m)
+                v[l] = std::clamp(volts[j + l], 0.0, adc.vref());
+        }
+        lanes::U64 code{};
+        lanes::F64 dac{};
+        for (unsigned b = adc.resolution(); b-- > 0;) {
+            const lanes::F64 trial = dac + threshold[b];
+            lanes::I64 greater{};
+            decisions.decide(v - trial, base + b, active, active, greater);
+            code |= (lanes::U64)greater & (1ull << b);
+            dac = greater ? trial : dac;
+        }
+        for (std::size_t l = 0; l < m; ++l)
+            codes[j + l] = static_cast<std::uint32_t>(code[l]);
+    }
+    std::size_t decided = 0;
+    std::size_t forced = 0;
+    double energy = 0.0;
+    for (std::size_t l = 0; l < lanes::kWidth; ++l) {
+        const DecisionTally t = decisions.tally(l);
+        decided += t.decisions();
+        forced += t.forced();
+        energy += t.energyJ(k);
+    }
+    adc.accrueConversions(volts.size(), decided, forced, energy);
+    return codes;
 }
 
 TEST(SarAdcTest, RampProducesMonotonicCodes)
@@ -172,9 +222,8 @@ TEST(SarAdcTest, KeyedConversionMatchesConvertAwayFromThresholds)
                                 static_cast<double>(levels));
             }
         }
-        std::vector<std::uint32_t> codes(volts.size());
-        keyed.convertKeyed(volts, codes,
-                           keyed.decisionConstants(), 0x5a4, 0);
+        const std::vector<std::uint32_t> codes =
+            convertInLanes(keyed, volts, 0x5a4);
         Rng rng(14);
         for (std::size_t j = 0; j < volts.size(); ++j) {
             EXPECT_EQ(codes[j], j % levels) << bits << " bits";
@@ -200,9 +249,8 @@ TEST(SarAdcTest, KeyedTieForcesLikeConvert)
     keyed.setResolution(4);
     replay.setResolution(4);
     const std::vector<double> volts(kInputs, keyed.vref() / 2.0);
-    std::vector<std::uint32_t> codes(kInputs);
-    keyed.convertKeyed(volts, codes, keyed.decisionConstants(), 0x71e,
-                       0);
+    const std::vector<std::uint32_t> codes =
+        convertInLanes(keyed, volts, 0x71e);
     Rng rng(16);
     std::size_t msb = 0;
     for (std::size_t j = 0; j < kInputs; ++j) {

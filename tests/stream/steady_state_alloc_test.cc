@@ -30,6 +30,9 @@
 #include "core/rng.hh"
 #include "core/workspace.hh"
 #include "models/mini_googlenet.hh"
+#include "nn/conv.hh"
+#include "nn/pool.hh"
+#include "redeye/column.hh"
 #include "stream/vision.hh"
 
 namespace redeye {
@@ -253,6 +256,60 @@ TEST(SteadyStateAllocTest, BatchedThreadedNetworkForwardIsAllocationFree)
     net->forward(x, ctx);
     EXPECT_EQ(meter.delta(), 0u)
         << "batched threaded forward allocated in steady state";
+}
+
+/**
+ * The column kernels keep every buffer, the lane tallies and the
+ * readVar memo included, in their thread's scratch: once warm, a
+ * conv1, pool1 or readout call allocates only the tensor it returns,
+ * on pristine silicon and with every fault kind armed.
+ */
+TEST(SteadyStateAllocTest, WarmColumnKernelsAllocateOnlyTheirOutput)
+{
+    Rng rng(0xa110c);
+    nn::ConvolutionLayer conv("conv1",
+                              nn::ConvParams::square(32, 5, 1, 2));
+    const nn::MaxPoolLayer pool("pool1", nn::PoolParams{3, 2, 0});
+    Tensor x(
+        Shape(1, 3, models::kMiniInputSize, models::kMiniInputSize));
+    x.fillUniform(rng, 0.0f, 1.0f);
+    (void)conv.outputShape({x.shape()});
+    conv.initHe(rng);
+
+    fault::FaultCampaign every;
+    every.deadColumnRate = 0.1;
+    every.offsetColumnRate = 0.1;
+    every.memoryLeakRate = 0.1;
+    every.stuckWeightBitRate = 0.2;
+    every.comparatorOffsetRate = 0.1;
+    every.adcStuckBitRate = 0.2;
+    const fault::FaultModel model(every, models::kMiniInputSize);
+
+    const fault::FaultModel *campaigns[] = {nullptr, &model};
+    for (const fault::FaultModel *faults : campaigns) {
+        arch::ColumnArrayConfig cfg;
+        cfg.columns = models::kMiniInputSize;
+        arch::ColumnArray array(cfg, analog::ProcessParams::typical(),
+                                Rng(7));
+        array.armFaults(faults, 0);
+        // Warm-up: one call each sizes every scratch buffer.
+        const Tensor c = array.runConvolution(x, conv, true);
+        const Tensor p = array.runMaxPool(c, pool);
+        (void)array.runQuantization(p);
+
+        if (!alloc::countingAvailable())
+            GTEST_SKIP() << "allocation hooks not linked (sanitizer "
+                            "build?); skipping the counting assertions";
+        alloc::AllocationMeter meter;
+        (void)array.runConvolution(x, conv, true);
+        EXPECT_EQ(meter.delta(), 1u) << "conv, faults " << !!faults;
+        meter.restart();
+        (void)array.runMaxPool(c, pool);
+        EXPECT_EQ(meter.delta(), 1u) << "pool, faults " << !!faults;
+        meter.restart();
+        (void)array.runQuantization(p);
+        EXPECT_EQ(meter.delta(), 1u) << "readout, faults " << !!faults;
+    }
 }
 
 } // namespace

@@ -1,5 +1,10 @@
 /** @file Tests for the dense Tensor. */
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/rng.hh"
@@ -7,6 +12,33 @@
 
 namespace redeye {
 namespace {
+
+/** absMax as a sequential scan: std::max skips a NaN |x|. */
+float
+scannedAbsMax(const Tensor &t)
+{
+    float m = 0.0f;
+    for (float x : t.vec())
+        m = std::max(m, std::fabs(x));
+    return m;
+}
+
+/** Same float, bit for bit. */
+bool
+sameBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A length-@p n tensor of Gaussian values. */
+Tensor
+gaussianOf(std::size_t n, std::uint64_t seed)
+{
+    Tensor t(Shape(1, 1, 1, n));
+    Rng rng(seed);
+    t.fillGaussian(rng, 0.0f, 1.0f);
+    return t;
+}
 
 TEST(TensorTest, ZeroInitialized)
 {
@@ -89,6 +121,68 @@ TEST(TensorTest, SumMeanAbsMax)
     EXPECT_DOUBLE_EQ(t.sum(), 0.0);
     EXPECT_DOUBLE_EQ(t.mean(), 0.0);
     EXPECT_EQ(t.absMax(), 5.0f);
+}
+
+TEST(TensorTest, AbsMaxOfEmptyIsZero)
+{
+    EXPECT_TRUE(sameBits(Tensor().absMax(), 0.0f));
+}
+
+/**
+ * Lane tails and whole vectors: the peak, wherever it sits (first,
+ * last, in the tail), is found exactly as a sequential scan finds it.
+ */
+TEST(TensorTest, AbsMaxMatchesScanAtEveryLength)
+{
+    for (std::size_t n : {1u, 15u, 16u, 17u, 33u, 32768u}) {
+        Tensor t = gaussianOf(n, n);
+        EXPECT_TRUE(sameBits(t.absMax(), scannedAbsMax(t))) << n;
+        for (std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+            Tensor peaked = t;
+            peaked[at] = -100.0f;
+            EXPECT_EQ(peaked.absMax(), 100.0f) << n << " at " << at;
+        }
+    }
+}
+
+TEST(TensorTest, AbsMaxOfSignedZerosAndInfinities)
+{
+    for (std::size_t n : {1u, 17u, 33u}) {
+        Tensor zeros(Shape(1, 1, 1, n));
+        for (std::size_t i = 0; i < n; ++i)
+            zeros[i] = i % 2 ? -0.0f : 0.0f;
+        EXPECT_TRUE(sameBits(zeros.absMax(), 0.0f)) << n;
+        for (float inf : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+            Tensor t = gaussianOf(n, 3);
+            t[n - 1] = inf;
+            EXPECT_EQ(t.absMax(), std::numeric_limits<float>::infinity())
+                << n;
+        }
+    }
+}
+
+/** A NaN anywhere never wins: the peak of the rest does. */
+TEST(TensorTest, AbsMaxSkipsNaN)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t n : {1u, 15u, 16u, 17u, 33u, 40u}) {
+        for (std::size_t at = 0; at < n; ++at) {
+            Tensor t = gaussianOf(n, 7 * n + at);
+            t[at] = nan;
+            const float m = t.absMax();
+            EXPECT_FALSE(std::isnan(m)) << n << " at " << at;
+            EXPECT_TRUE(sameBits(m, scannedAbsMax(t))) << n << " at "
+                                                       << at;
+        }
+    }
+    Tensor all(Shape(1, 1, 1, 33));
+    all.fill(nan);
+    EXPECT_TRUE(sameBits(all.absMax(), 0.0f));
+    Tensor big = gaussianOf(32768, 11);
+    big[12345] = nan;
+    big[32767] = -nan;
+    EXPECT_TRUE(sameBits(big.absMax(), scannedAbsMax(big)));
 }
 
 TEST(TensorTest, ScaleAddAxpy)
