@@ -155,11 +155,13 @@ main(int argc, char **argv)
 {
     const Options opt = parseOptions(argc, argv);
 
-    auto setup = sim::pretrainedMiniGoogLeNet();
-    std::shared_ptr<nn::Network> weights = std::move(setup.net);
+    std::shared_ptr<nn::Network> weights =
+        sim::pretrainedMiniGoogLeNet().net;
+    data::Dataset held_out =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
     const data::Dataset dataset =
-        setup.val.size() >= opt.perClass * data::kShapeClasses
-            ? std::move(setup.val)
+        held_out.size() >= opt.perClass * data::kShapeClasses
+            ? std::move(held_out)
             : stream::makeReplayDataset(opt.perClass, 0x5eed);
     stream::ShapesReplaySource source(dataset);
 

@@ -28,14 +28,15 @@ main()
     auto handles = sim::injectNoise(
         *setup.net, models::miniGoogLeNetAnalogLayers(4),
         sim::NoiseSpec{});
+    const data::Dataset val =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
 
     const std::vector<unsigned> bits{10, 8, 7, 6, 5, 4, 3, 2, 1};
     sim::EvalOptions opt;
     opt.topN = 5;
     opt.threads = 0; // auto: REDEYE_THREADS or hardware concurrency
-    const auto points = sim::accuracyVsBits(*setup.net, handles,
-                                            setup.val, bits, 40.0,
-                                            opt);
+    const auto points = sim::accuracyVsBits(*setup.net, handles, val,
+                                            bits, 40.0, opt);
 
     std::cout << "Figure 10: accuracy and quantization energy vs "
                  "ADC resolution (Gaussian SNR = 40 dB)\n\n";

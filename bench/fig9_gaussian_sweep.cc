@@ -33,6 +33,10 @@ main()
         sim::PretrainedTask::Standard, true);
     auto hard = sim::pretrainedMiniGoogLeNet(
         sim::PretrainedTask::Hard, true);
+    const data::Dataset std_val =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
+    const data::Dataset hard_val =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Hard);
 
     auto std_handles = sim::injectNoise(
         *standard.net, models::miniGoogLeNetAnalogLayers(4),
@@ -48,15 +52,15 @@ main()
     opt.topN = 5;
     opt.threads = 0; // auto: REDEYE_THREADS or hardware concurrency
     const auto std_pts = sim::accuracyVsSnr(
-        *standard.net, std_handles, standard.val, snrs, 4, opt);
+        *standard.net, std_handles, std_val, snrs, 4, opt);
     const auto hard_pts = sim::accuracyVsSnr(
-        *hard.net, hard_handles, hard.val, snrs, 4, opt);
+        *hard.net, hard_handles, hard_val, snrs, 4, opt);
 
     std_handles.setEnabled(false);
     hard_handles.setEnabled(false);
-    const auto std_clean = sim::evaluate(*standard.net, standard.val,
+    const auto std_clean = sim::evaluate(*standard.net, std_val,
                                          opt);
-    const auto hard_clean = sim::evaluate(*hard.net, hard.val, opt);
+    const auto hard_clean = sim::evaluate(*hard.net, hard_val, opt);
 
     std::cout << "Figure 9: accuracy and ConvNet energy vs Gaussian "
                  "SNR (4-bit quantization)\n"

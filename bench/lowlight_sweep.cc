@@ -31,6 +31,8 @@ main()
     auto handles = sim::injectNoise(
         *setup.net, models::miniGoogLeNetAnalogLayers(4),
         sim::NoiseSpec{});
+    const data::Dataset val =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
 
     struct Scene {
         const char *name;
@@ -81,7 +83,7 @@ main()
             opt.topN = 5;
             opt.threads = 0; // auto thread count
             opt.sensor = sp;
-            const auto r = sim::evaluate(*setup.net, setup.val, opt);
+            const auto r = sim::evaluate(*setup.net, val, opt);
             cells.push_back(fmtPercent(r.top1));
         }
         handles.setEnabled(true);

@@ -28,13 +28,15 @@ main()
     auto handles = sim::injectNoise(
         *setup.net, models::miniGoogLeNetAnalogLayers(4),
         sim::NoiseSpec{});
+    const data::Dataset val =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
 
     sim::EvalOptions opt;
     opt.topN = 5;
     opt.maxImages = 120; // subsample for the inner search loop
 
     handles.setEnabled(false);
-    const auto clean = sim::evaluate(*setup.net, setup.val, opt);
+    const auto clean = sim::evaluate(*setup.net, val, opt);
     handles.setEnabled(true);
     std::cout << "clean top-5 accuracy: " << fmtPercent(clean.topN)
               << "\n\n";
@@ -53,7 +55,7 @@ main()
             continue;
         }
         const auto result = sim::tuneNoiseParameters(
-            *setup.net, handles, setup.val, target, 5, opt);
+            *setup.net, handles, val, target, 5, opt);
         table.addRow({fmtPercent(target), fmt(result.snrDb, 1),
                       std::to_string(result.adcBits),
                       fmtPercent(result.accuracy),

@@ -85,7 +85,9 @@ main()
 {
     auto setup = sim::pretrainedMiniGoogLeNet(
         "redeye_mini_weights.bin", true);
-    const Tensor frame = setup.val.images.slice(0);
+    const Tensor frame =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard)
+            .images.slice(0);
 
     std::cout << "Privacy probe: feature-inversion attack against "
                  "RedEye's exported features\n(300 gradient steps "

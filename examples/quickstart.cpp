@@ -65,8 +65,10 @@ main()
               << units::siFormat(est.outputBytes, "B", 0) << "\n\n";
 
     // 4. Execute one frame through the circuit-level engine.
-    const Tensor frame = setup.val.images.slice(0);
-    const auto truth = setup.val.labels[0];
+    const data::Dataset val =
+        sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
+    const Tensor frame = val.images.slice(0);
+    const auto truth = val.labels[0];
 
     arch::ColumnArrayConfig array_cfg;
     array_cfg.columns = models::kMiniInputSize;

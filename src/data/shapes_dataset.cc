@@ -34,7 +34,7 @@ luminance(const Rgb &c)
 struct Geometry {
     double cx, cy;   ///< center in [0, 1] image coordinates
     double scale;    ///< characteristic radius in [0, 1] units
-    double angle;    ///< rotation [rad]
+    double ca, sa;   ///< cosine and sine of the rotation
     double phase;    ///< pattern phase
     double period;   ///< pattern period
 };
@@ -49,11 +49,8 @@ coverage(std::size_t label, double u, double v, const Geometry &g)
     // Rotate into the shape frame.
     const double du = u - g.cx;
     const double dv = v - g.cy;
-    const double ca = std::cos(g.angle);
-    const double sa = std::sin(g.angle);
-    const double x = ca * du + sa * dv;
-    const double y = -sa * du + ca * dv;
-    const double r = std::hypot(x, y);
+    const double x = g.ca * du + g.sa * dv;
+    const double y = -g.sa * du + g.ca * dv;
 
     auto soft = [](double signed_dist, double softness = 0.02) {
         // 1 inside, 0 outside, smooth edge.
@@ -62,7 +59,7 @@ coverage(std::size_t label, double u, double v, const Geometry &g)
 
     switch (label) {
       case 0: // filled disk
-        return soft(r - g.scale);
+        return soft(std::hypot(x, y) - g.scale);
       case 1: // filled square
         return soft(std::max(std::fabs(x), std::fabs(y)) - g.scale);
       case 2: { // triangle (upward)
@@ -72,7 +69,8 @@ coverage(std::size_t label, double u, double v, const Geometry &g)
         return soft(std::max({d1, d2, d3}));
       }
       case 3: // ring
-        return soft(std::fabs(r - g.scale) - g.scale * 0.3);
+        return soft(std::fabs(std::hypot(x, y) - g.scale) -
+                    g.scale * 0.3);
       case 4: { // cross
         const double arm = g.scale * 0.35;
         const double in_h = std::max(std::fabs(x) - g.scale,
@@ -177,16 +175,20 @@ renderShape(std::size_t label, const ShapesParams &params, Rng &rng)
     g.cx = rng.uniform(0.35, 0.65);
     g.cy = rng.uniform(0.35, 0.65);
     g.scale = rng.uniform(0.18, 0.32);
-    g.angle = rng.uniform(0.0, 2.0 * M_PI);
+    const double angle = rng.uniform(0.0, 2.0 * M_PI);
+    g.ca = std::cos(angle);
+    g.sa = std::sin(angle);
     g.phase = rng.uniform(0.0, 1.0);
     g.period = rng.uniform(0.18, 0.30);
 
     Tensor img(Shape(1, 3, s, s));
+    const std::size_t plane = s * s;
+    float *out = img.data(); // channel 0 of the current pixel
     for (std::size_t py = 0; py < s; ++py) {
-        for (std::size_t px = 0; px < s; ++px) {
+        const double v = (static_cast<double>(py) + 0.5) /
+                         static_cast<double>(s);
+        for (std::size_t px = 0; px < s; ++px, ++out) {
             const double u = (static_cast<double>(px) + 0.5) /
-                             static_cast<double>(s);
-            const double v = (static_cast<double>(py) + 0.5) /
                              static_cast<double>(s);
             Rgb base = bg;
             for (const Blob &b : blobs) {
@@ -207,12 +209,11 @@ renderShape(std::size_t label, const ShapesParams &params, Rng &rng)
                                            params.pixelNoiseSigma);
             const double n2 = rng.gaussian(0.0,
                                            params.pixelNoiseSigma);
-            img.at(0, 0, py, px) = static_cast<float>(
-                std::clamp(c.r + n0, 0.0, 1.0));
-            img.at(0, 1, py, px) = static_cast<float>(
-                std::clamp(c.g + n1, 0.0, 1.0));
-            img.at(0, 2, py, px) = static_cast<float>(
-                std::clamp(c.b + n2, 0.0, 1.0));
+            out[0] = static_cast<float>(std::clamp(c.r + n0, 0.0, 1.0));
+            out[plane] =
+                static_cast<float>(std::clamp(c.g + n1, 0.0, 1.0));
+            out[2 * plane] =
+                static_cast<float>(std::clamp(c.b + n2, 0.0, 1.0));
         }
     }
     return img;

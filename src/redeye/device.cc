@@ -133,8 +133,14 @@ RedEyeDevice::tryRun(nn::Network &net,
 
     array_.resetEnergy();
     DeviceRun result;
-    std::map<std::string, Tensor> acts;
+    // One output per executed layer at most: emplace_back never
+    // reallocates, so the pointers in acts stay valid.
+    std::vector<Tensor> outputs;
+    outputs.reserve(wanted.size());
+    std::map<std::string, const Tensor *> acts;
     const Tensor *last = &input;
+    // The last conv output the array clamped at 0 for a folded ReLU.
+    const Tensor *clamped = nullptr;
 
     // Validation guarantees every fetched activation exists.
     auto fetch = [&](const std::string &name) -> const Tensor & {
@@ -143,7 +149,7 @@ RedEyeDevice::tryRun(nn::Network &net,
         auto it = acts.find(name);
         panic_if(it == acts.end(), "validated partition missing '",
                  name, "'");
-        return it->second;
+        return *it->second;
     };
 
     for (std::size_t i = 0; i < net.size(); ++i) {
@@ -152,12 +158,13 @@ RedEyeDevice::tryRun(nn::Network &net,
             continue;
         const auto inputs = net.inputsOf(i);
         Tensor out;
+        const Tensor *served = nullptr; // an existing tensor, as is
+        bool rectify = false;
 
         switch (layer.kind()) {
           case nn::LayerKind::Convolution: {
             auto &conv = static_cast<nn::ConvolutionLayer &>(layer);
             // Fold an immediately following in-partition ReLU.
-            bool rectify = false;
             if (i + 1 < net.size()) {
                 nn::Layer &next = net.layerAt(i + 1);
                 if (next.kind() == nn::LayerKind::ReLU &&
@@ -170,9 +177,14 @@ RedEyeDevice::tryRun(nn::Network &net,
             break;
           }
           case nn::LayerKind::ReLU: {
-            // Either folded into the preceding conv (then this is a
-            // copy) or applied as clipping on a buffered tensor.
+            // Folded into the conv it reads, which already clamped at
+            // 0: serve the conv's tensor. Otherwise clip a buffered
+            // tensor.
             const Tensor &x = fetch(inputs[0]);
+            if (&x == clamped) {
+                served = &x;
+                break;
+            }
             out = x;
             for (std::size_t k = 0; k < out.size(); ++k)
                 out[k] = std::max(0.0f, out[k]);
@@ -240,8 +252,11 @@ RedEyeDevice::tryRun(nn::Network &net,
         }
 
         result.executedLayers.push_back(layer.name());
-        // Map nodes are stable: the pointer outlives later inserts.
-        last = &(acts[layer.name()] = std::move(out));
+        if (!served)
+            served = &outputs.emplace_back(std::move(out));
+        if (rectify)
+            clamped = served;
+        last = acts[layer.name()] = served;
     }
 
     result.features = array_.runQuantization(*last);

@@ -15,17 +15,25 @@ namespace sim {
 
 namespace {
 
+/** Seed of the recipe's data stream: training set, then held-out. */
+constexpr std::uint64_t kDataSeed = 0x11ab;
+constexpr std::size_t kTrainPerClass = 80;
+constexpr std::size_t kHeldOutPerClass = 20;
+
+data::ShapesParams
+shapesFor(PretrainedTask task)
+{
+    return task == PretrainedTask::Standard ? data::ShapesParams{}
+                                            : data::ShapesParams::hard();
+}
+
 PretrainedSetup
 buildPretrained(const std::string &cache_path, bool verbose,
-                const data::ShapesParams &sp, std::size_t epochs)
+                PretrainedTask task)
 {
     PretrainedSetup setup;
     Rng wrng(0x517);
     setup.net = models::buildMiniGoogLeNet(data::kShapeClasses, wrng);
-
-    Rng drng(0x11ab);
-    const auto train = data::generateShapes(80, sp, drng);
-    setup.val = data::generateShapes(20, sp, drng);
 
     if (!cache_path.empty() &&
         std::filesystem::exists(cache_path)) {
@@ -33,10 +41,15 @@ buildPretrained(const std::string &cache_path, bool verbose,
         return setup;
     }
 
+    Rng drng(kDataSeed);
+    const auto train =
+        data::generateShapes(kTrainPerClass, shapesFor(task), drng);
+
     if (verbose)
         inform("training MiniGoogLeNet (first run; ~1 minute)...");
     TrainOptions opt;
-    opt.epochs = epochs;
+    // The hard task converges slower; give it more epochs.
+    opt.epochs = task == PretrainedTask::Standard ? 10 : 16;
     opt.solver.lrStep = 150;
     opt.solver.lrDecay = 0.5;
     opt.verbose = verbose;
@@ -60,18 +73,27 @@ PretrainedSetup
 pretrainedMiniGoogLeNet(const std::string &cache_path, bool verbose)
 {
     return buildPretrained(cache_path, verbose,
-                           data::ShapesParams{}, 10);
+                           PretrainedTask::Standard);
 }
 
 PretrainedSetup
 pretrainedMiniGoogLeNet(PretrainedTask task, bool verbose)
 {
-    if (task == PretrainedTask::Standard)
-        return pretrainedMiniGoogLeNet("redeye_mini_weights.bin",
-                                       verbose);
-    // The hard task converges slower; give it more epochs.
-    return buildPretrained("redeye_mini_hard_weights.bin", verbose,
-                           data::ShapesParams::hard(), 16);
+    return buildPretrained(task == PretrainedTask::Standard
+                               ? "redeye_mini_weights.bin"
+                               : "redeye_mini_hard_weights.bin",
+                           verbose, task);
+}
+
+data::Dataset
+pretrainedHeldOutSet(PretrainedTask task)
+{
+    const data::ShapesParams sp = shapesFor(task);
+    Rng drng(kDataSeed);
+    // Replay the training draw: it leaves the stream where the
+    // held-out draw starts.
+    data::generateShapes(kTrainPerClass, sp, drng);
+    return data::generateShapes(kHeldOutPerClass, sp, drng);
 }
 
 } // namespace sim

@@ -64,9 +64,8 @@ class TrainedMiniNet
   private:
     TrainedMiniNet()
     {
-        auto setup = sim::pretrainedMiniGoogLeNet();
-        net_ = std::move(setup.net);
-        val_ = std::move(setup.val);
+        net_ = sim::pretrainedMiniGoogLeNet().net;
+        val_ = sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
         const auto r = sim::evaluate(*net_, val_);
         cleanTop1_ = r.top1;
         cleanTop5_ = r.topN;

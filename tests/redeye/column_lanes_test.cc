@@ -1171,9 +1171,8 @@ TEST(ColumnLanesServedTest, DeviceRunMatchesScalarChain)
         RedEyeDevice twin(cfg, analog::ProcessParams::typical(), seed);
         ColumnArray &a = twin.array();
         a.resetEnergy();
-        Tensor c = ColumnOracle::convolution(a, x, conv1, true);
-        for (std::size_t k = 0; k < c.size(); ++k)
-            c[k] = std::max(0.0f, c[k]); // conv1/relu, as served
+        // conv1/relu is folded into the conv: no clip follows it.
+        const Tensor c = ColumnOracle::convolution(a, x, conv1, true);
         const Tensor p = ColumnOracle::maxPool(a, c, pool1);
         const Tensor q = ColumnOracle::quantization(a, p);
         ASSERT_EQ(run.features.shape(), q.shape());

@@ -1,10 +1,15 @@
 /** @file Tests for whole-partition functional execution. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/stats.hh"
 #include "models/mini_googlenet.hh"
+#include "nn/activation.hh"
+#include "nn/conv.hh"
 #include "nn/network.hh"
+#include "nn/pool.hh"
 #include "nn/quantize.hh"
 #include "redeye/device.hh"
 
@@ -116,6 +121,50 @@ TEST(DeviceTest, InceptionPartitionExecutes)
     const auto run = device.run(*net, layers, x);
     // inception_a concatenates to 88 channels at 8x8.
     EXPECT_EQ(run.features.shape(), Shape(1, 88, 8, 8));
+}
+
+/**
+ * Only a ReLU right after its conv folds into it; one after a pool
+ * still clips. The readout maps [0, absMax] onto its codes: two
+ * channels sit far below 0 and two near it, so the clipped tensor
+ * reads out on a much finer scale and far more of its features rise
+ * above the lowest code.
+ */
+TEST(DeviceTest, ReluAfterPoolClips)
+{
+    nn::Network net;
+    net.setInputShape(Shape(1, 3, 32, 32));
+    auto &conv = static_cast<nn::ConvolutionLayer &>(
+        net.add(std::make_unique<nn::ConvolutionLayer>(
+                    "conv", nn::ConvParams::square(4, 3, 1, 1)),
+                {nn::kInputName}));
+    net.add(std::make_unique<nn::MaxPoolLayer>("pool",
+                                               nn::PoolParams{2, 2, 0}));
+    net.add(std::make_unique<nn::ReluLayer>("relu"));
+    Rng wrng(10);
+    conv.weights().fillUniform(wrng, -0.1f, 0.1f);
+    // Two channels far below 0, two around it.
+    conv.biases()[0] = conv.biases()[1] = -6.0f;
+    conv.biases()[2] = conv.biases()[3] = 0.0f;
+    Tensor x(Shape(1, 3, 32, 32));
+    Rng xrng(11);
+    x.fillUniform(xrng, 0.0f, 1.0f);
+
+    const auto pooled = makeDevice(60.0, 4).run(net, {"conv", "pool"}, x);
+    const auto rectified =
+        makeDevice(60.0, 4).run(net, {"conv", "pool", "relu"}, x);
+    // Features above the readout's lowest code (code 0 reads back
+    // as half a step, not as 0).
+    const auto raised = [](const Tensor &t) {
+        const float bottom = *std::min_element(t.vec().begin(),
+                                               t.vec().end());
+        std::size_t n = 0;
+        for (std::size_t k = 0; k < t.size(); ++k)
+            n += t[k] > bottom;
+        return n;
+    };
+    EXPECT_GT(raised(rectified.features), 2 * raised(pooled.features));
+    EXPECT_EQ(rectified.executedLayers.size(), 3u);
 }
 
 TEST(DeviceTest, ConsumingLayerOutsidePartitionFatal)

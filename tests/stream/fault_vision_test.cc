@@ -62,9 +62,8 @@ struct Trained {
   private:
     Trained()
     {
-        auto setup = sim::pretrainedMiniGoogLeNet();
-        net = std::move(setup.net);
-        val = std::move(setup.val);
+        net = sim::pretrainedMiniGoogLeNet().net;
+        val = sim::pretrainedHeldOutSet(sim::PretrainedTask::Standard);
     }
 };
 
