@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks of the ConvNet substrate: convolution forward and
  * backward throughput, the served pooling shapes, Tensor::absMax, the
- * keyed noise samplers and noise-layer overheads, dataset generation,
- * and serial-vs-parallel network forward scaling.
+ * keyed noise samplers (and a per-draw seeded engine beside them),
+ * noise-layer overheads, dataset generation, and serial-vs-parallel
+ * network forward scaling.
  *
  * Pass `--csv <path>` (in addition to the usual benchmark flags) to
  * also write every measurement to a CSV file — the shared flag idiom
@@ -231,6 +232,38 @@ BM_KeyedGaussian(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_KeyedGaussian)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One Gaussian per (seed, pass, item) triple, the way the fleet draws
+ * its per-request jitter: an engine seeded by streamRng per draw
+ * (arg 0) against the keyed streamGaussian (arg 1). `per_draw` is the
+ * time of one draw.
+ */
+void
+BM_StreamDraw(benchmark::State &state)
+{
+    constexpr std::uint64_t kDraws = 1024;
+    const bool keyed = state.range(0) != 0;
+    std::uint64_t pass = 0;
+    for (auto _ : state) {
+        double sum = 0.0;
+        if (keyed) {
+            for (std::uint64_t i = 0; i < kDraws; ++i)
+                sum += streamGaussian(0x5eed, pass, i);
+        } else {
+            for (std::uint64_t i = 0; i < kDraws; ++i)
+                sum += streamRng(0x5eed, pass, i).gaussian();
+        }
+        benchmark::DoNotOptimize(sum);
+        ++pass;
+    }
+    state.SetLabel(keyed ? "streamGaussian" : "streamRng");
+    state.counters["per_draw"] = benchmark::Counter(
+        static_cast<double>(kDraws),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StreamDraw)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /**
  * Shot noise at the sensor's means: the electron counts of 16

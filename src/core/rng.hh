@@ -44,12 +44,22 @@
  *  - keyedGaussian(key, c) is one hash, keyedBits(key, 2c), whose top
  *    52 bits go through the inverse normal CDF (Wichura's AS241). Its
  *    low 12 bits stay unread, and the comparator's coin takes bit 0.
+ *  - keyedUniform(key, c) is the same hash's top 52 bits as a uniform
+ *    strictly inside (0, 1): the uniform keyedGaussian(key, c) maps.
  *  - keyedPoisson(key, c, mean) draws its uniforms from a SplitMix64
  *    sequence seeded by keyedBits(key, 2c + 1), so it shares no hash
  *    with keyedGaussian(key, c).
  *
  * The sensor keys each image by streamKey(seed, pass, item) and draws
  * pixel i's shot and read noise at counter i.
+ *
+ * Where a triple needs a single number, streamGaussian() and
+ * streamUniform() draw it at counter 0 of the triple's key instead of
+ * seeding an engine for it. The fleet draws every per-request number
+ * so: the Poisson arrival gaps, the device and host service jitter,
+ * the failure and retry-backoff draws and the tuner's proxy noise.
+ * streamRng() stays for draws that need a sequence, or that run once
+ * per session or device (the fleet's class and device-health draws).
  */
 
 #ifndef REDEYE_CORE_RNG_HH
@@ -299,6 +309,18 @@ keyedGaussian(std::uint64_t key, std::uint64_t counter)
 }
 
 /**
+ * Counter-keyed uniform strictly inside (0, 1): a pure function of
+ * (@p key, @p counter), openUnitFromBits(keyedBits(key, 2 counter)).
+ * It is the uniform that keyedGaussian(key, counter) maps through the
+ * inverse normal CDF, so a key feeds the two at distinct counters.
+ */
+inline double
+keyedUniform(std::uint64_t key, std::uint64_t counter)
+{
+    return openUnitFromBits(keyedBits(key, 2 * counter));
+}
+
+/**
  * Counter-keyed Poisson count of mean @p mean (0 when mean <= 0): a
  * pure function of (@p key, @p counter, @p mean). Exact: inversion by
  * multiplication below a mean of 10, Hörmann's transformed rejection
@@ -309,6 +331,30 @@ keyedGaussian(std::uint64_t key, std::uint64_t counter)
  */
 std::int64_t keyedPoisson(std::uint64_t key, std::uint64_t counter,
                           double mean);
+
+/**
+ * The one standard normal draw of a (seed, pass, item) triple:
+ * keyedGaussian(streamKey(seed, pass, item), 0). Three hashes, where
+ * streamRng(seed, pass, item).gaussian() seeds and twists a 312-word
+ * engine for the same one number.
+ */
+inline double
+streamGaussian(std::uint64_t seed, std::uint64_t pass, std::uint64_t item)
+{
+    return keyedGaussian(streamKey(seed, pass, item), 0);
+}
+
+/**
+ * The one uniform draw, strictly inside (0, 1), of a (seed, pass,
+ * item) triple: keyedUniform(streamKey(seed, pass, item), 0). It is
+ * the uniform behind streamGaussian() of the same triple, so a caller
+ * takes one or the other per triple.
+ */
+inline double
+streamUniform(std::uint64_t seed, std::uint64_t pass, std::uint64_t item)
+{
+    return keyedUniform(streamKey(seed, pass, item), 0);
+}
 
 } // namespace redeye
 

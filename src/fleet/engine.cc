@@ -20,10 +20,10 @@ namespace fleet {
 namespace {
 
 // Counter-RNG pass salts: one independent stream per decision kind.
-// Counter-based draws keyed by (session seed, pass, item) are
-// independent across passes, so the fault-tolerance layer's draws
-// never perturb the legacy class/arrival/jitter streams — a run with
-// the layer off is event-for-event identical to the pre-layer engine.
+// Every draw is a pure function of its (session seed, pass, item)
+// key, so draws under distinct passes are independent and the
+// fault-tolerance layer's draws never perturb the class, arrival and
+// jitter draws.
 constexpr std::uint64_t kClassPass = 0xc1a55;
 constexpr std::uint64_t kDevicePass = 0x0de7;
 constexpr std::uint64_t kHostPass = 0x09057;
@@ -112,10 +112,69 @@ failItem(std::uint64_t frame, std::uint8_t attempt, std::uint8_t leg)
     return frame * 8 + static_cast<std::uint64_t>(attempt) * 2 + leg;
 }
 
+/**
+ * The constructor's config checks: @p config when every check holds.
+ * They run before any member is built from the config, since
+ * queueClasses converts the QoS shares to slot counts.
+ */
+const FleetConfig &
+checkedConfig(const FleetConfig &config)
+{
+    fatal_if(config.sessions == 0, "fleet needs sessions");
+    fatal_if(config.framesPerSession == 0, "fleet needs frames");
+    fatal_if(!(std::isfinite(config.sessionRateHz) &&
+               config.sessionRateHz > 0.0),
+             "session rate must be finite and positive, got ",
+             config.sessionRateHz);
+    for (std::size_t c = 0; c < kTrafficClasses; ++c) {
+        fatal_if(!(std::isfinite(config.mix[c]) && config.mix[c] >= 0.0),
+                 "mix[", c, "] must be finite and non-negative, got ",
+                 config.mix[c]);
+        const QosClassConfig &q = config.qos[c];
+        fatal_if(q.maxAttempts < 1 || q.maxAttempts > 4,
+                 "maxAttempts must be in [1, 4], got ", q.maxAttempts);
+        // The negations also reject NaN shares.
+        fatal_if(!(q.reservedShare >= 0.0 && q.reservedShare <= 1.0),
+                 "qos[", c, "].reservedShare must be in [0, 1], got ",
+                 q.reservedShare);
+        fatal_if(!(q.maxShare >= 0.0 && q.maxShare <= 1.0), "qos[", c,
+                 "].maxShare must be in [0, 1], got ", q.maxShare);
+        fatal_if(q.reservedShare > q.maxShare, "qos[", c,
+                 "].reservedShare (", q.reservedShare,
+                 ") must not exceed maxShare (", q.maxShare, ")");
+    }
+    // An inverted band would flip the brownout level on every sweep.
+    fatal_if(config.ft.brownoutLow >= config.ft.brownoutHigh,
+             "ft.brownoutLow (", config.ft.brownoutLow,
+             ") must be below ft.brownoutHigh (",
+             config.ft.brownoutHigh, ")");
+    // Negative periods would silently switch sweeps or windows off,
+    // and a tuner without a step period would observe but never step.
+    fatal_if(config.ft.probePeriodS < 0.0,
+             "ft.probePeriodS must be non-negative, got ",
+             config.ft.probePeriodS);
+    fatal_if(config.windowS < 0.0,
+             "windowS must be non-negative, got ", config.windowS);
+    fatal_if(config.tune.enabled && config.tune.windowS <= 0.0,
+             "tune.windowS must be positive with the tuner enabled, got ",
+             config.tune.windowS);
+    // Only the fault-tolerance layer schedules chaos: with it off, a
+    // script would be silently dropped.
+    fatal_if(!config.chaos.empty() && !config.ft.enabled,
+             "chaos needs ft.enabled; ", config.chaos.size(),
+             " chaos events would be ignored");
+    for (std::size_t i = 0; i < config.chaos.size(); ++i)
+        fatal_if(config.chaos[i].device >= config.pool.devices, "chaos[",
+                 i, "].device (", config.chaos[i].device,
+                 ") is outside the pool of ", config.pool.devices,
+                 " devices");
+    return config;
+}
+
 } // namespace
 
 FleetEngine::FleetEngine(const FleetConfig &config)
-    : config_(config),
+    : config_(checkedConfig(config)),
       programCache_(std::make_shared<arch::ProgramCache>()),
       db_(config.sessions),
       pool_(poolConfigFor(config)),
@@ -130,38 +189,6 @@ FleetEngine::FleetEngine(const FleetConfig &config)
 {
     static_assert(kTrafficClasses == 3,
                   "histogram initializers assume three classes");
-    fatal_if(config_.sessions == 0, "fleet needs sessions");
-    fatal_if(config_.framesPerSession == 0, "fleet needs frames");
-    fatal_if(config_.sessionRateHz <= 0.0,
-             "session rate must be positive");
-    for (const QosClassConfig &q : config_.qos)
-        fatal_if(q.maxAttempts < 1 || q.maxAttempts > 4,
-                 "maxAttempts must be in [1, 4], got ", q.maxAttempts);
-    // An inverted band would flip the brownout level on every sweep.
-    fatal_if(config_.ft.brownoutLow >= config_.ft.brownoutHigh,
-             "ft.brownoutLow (", config_.ft.brownoutLow,
-             ") must be below ft.brownoutHigh (",
-             config_.ft.brownoutHigh, ")");
-    // Negative periods would silently switch sweeps or windows off,
-    // and a tuner without a step period would observe but never step.
-    fatal_if(config_.ft.probePeriodS < 0.0,
-             "ft.probePeriodS must be non-negative, got ",
-             config_.ft.probePeriodS);
-    fatal_if(config_.windowS < 0.0,
-             "windowS must be non-negative, got ", config_.windowS);
-    fatal_if(config_.tune.enabled && config_.tune.windowS <= 0.0,
-             "tune.windowS must be positive with the tuner enabled, got ",
-             config_.tune.windowS);
-    // Only the fault-tolerance layer schedules chaos: with it off, a
-    // script would be silently dropped.
-    fatal_if(!config_.chaos.empty() && !ftOn(),
-             "chaos needs ft.enabled; ", config_.chaos.size(),
-             " chaos events would be ignored");
-    for (std::size_t i = 0; i < config_.chaos.size(); ++i)
-        fatal_if(config_.chaos[i].device >= pool_.devices(), "chaos[", i,
-                 "].device (", config_.chaos[i].device,
-                 ") is outside the pool of ", pool_.devices(),
-                 " devices");
 
     // Every class serves the same trained topology; only the
     // operating point differs, so the shared ProgramCache keys
@@ -614,9 +641,8 @@ FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
         break;
     }
 
-    // The first leg of attempt 0 keeps the legacy (pass, item) so a
-    // run with the layer off is bit-identical to the pre-layer
-    // engine; retries and hedges jitter from their own streams.
+    // Retries and hedges jitter under their own passes, so the first
+    // leg of attempt 0 draws the same jitter with the layer on or off.
     std::uint64_t pass = kDevicePass;
     std::uint64_t item = qf.frame;
     if (leg == 1) {
@@ -626,7 +652,7 @@ FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
         item = qf.frame * 8 + qf.attempt;
     }
     service *= std::exp(kServiceJitterSigma *
-                        streamRng(s->seed, pass, item).gaussian());
+                        streamGaussian(s->seed, pass, item));
     qf.analogJ = energy;
 
     // Failure draw: undetected dead columns corrupt the output with
@@ -637,9 +663,9 @@ FleetEngine::launchLeg(int record, std::uint8_t leg, int device,
         const double p =
             pool_.failureProbability(static_cast<std::size_t>(device));
         if (p > 0.0)
-            will_fail = streamRng(s->seed, kFailPass,
-                                  failItem(qf.frame, qf.attempt, leg))
-                            .uniform() < p;
+            will_fail = streamUniform(s->seed, kFailPass,
+                                      failItem(qf.frame, qf.attempt,
+                                               leg)) < p;
     }
     rec.legs[leg] = RequestLeg{device, false, false, will_fail};
     rec.legCount = leg + 1;
@@ -726,10 +752,8 @@ FleetEngine::maybeRetry(RequestRecord &rec, int failed_device,
     StatusCode terminal = code;
     if (retryableStatus(code) &&
         rec.qf.attempt + 1u < q.maxAttempts) {
-        const double u =
-            streamRng(s->seed, kBackoffPass,
-                      rec.qf.frame * 8 + rec.qf.attempt)
-                .uniform();
+        const double u = streamUniform(
+            s->seed, kBackoffPass, rec.qf.frame * 8 + rec.qf.attempt);
         const double delay =
             backoffDelayS(kRetryBackoff, rec.qf.attempt, u);
         if (rec.qf.deadlineS > 0.0 &&
@@ -1012,8 +1036,7 @@ FleetEngine::dispatchHosts(double now_s)
         const double service =
             (qf.bypass ? m.hostFullS : m.hostTailS) *
             std::exp(kServiceJitterSigma *
-                     streamRng(s->seed, kHostPass, qf.frame)
-                         .gaussian());
+                     streamGaussian(s->seed, kHostPass, qf.frame));
         const double energy = qf.bypass ? m.hostFullJ : m.hostTailJ;
 
         Event done;
@@ -1071,8 +1094,7 @@ FleetEngine::onHostDone(const Event &event)
                                            bypassed,
                                            config_.tune.proxy);
         proxy += kTuneObservationNoise *
-                 streamRng(s->seed, kProxyPass, event.qf.frame)
-                     .gaussian();
+                 streamGaussian(s->seed, kProxyPass, event.qf.frame);
         proxy = std::clamp(proxy, 0.0, 1.0);
         tune::FeedbackSample fb;
         fb.accuracyProxy = proxy;

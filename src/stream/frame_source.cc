@@ -67,11 +67,9 @@ ArrivalSchedule::interarrivalS(std::uint64_t index) const
       case ArrivalKind::Poisson: {
         if (rateHz <= 0.0)
             return 0.0;
-        // Exponential gap from the frame's private stream: the
+        // Exponential gap from the frame's keyed uniform: the
         // schedule is a pure function of (seed, index).
-        Rng gap = streamRng(seed, 0, index);
-        const double u = gap.uniform();
-        return -std::log1p(-u) / rateHz;
+        return -std::log(streamUniform(seed, 0, index)) / rateHz;
       }
     }
     return 0.0;
@@ -86,14 +84,18 @@ ArrivalSchedule::unpaced()
 ArrivalSchedule
 ArrivalSchedule::fixed(double rate_hz)
 {
-    fatal_if(rate_hz <= 0.0, "fixed arrival rate must be positive");
+    fatal_if(!(std::isfinite(rate_hz) && rate_hz > 0.0),
+             "fixed arrival rate must be finite and positive, got ",
+             rate_hz);
     return ArrivalSchedule{ArrivalKind::Fixed, rate_hz, 0};
 }
 
 ArrivalSchedule
 ArrivalSchedule::poisson(double rate_hz, std::uint64_t seed)
 {
-    fatal_if(rate_hz <= 0.0, "Poisson arrival rate must be positive");
+    fatal_if(!(std::isfinite(rate_hz) && rate_hz > 0.0),
+             "Poisson arrival rate must be finite and positive, got ",
+             rate_hz);
     return ArrivalSchedule{ArrivalKind::Poisson, rate_hz, seed};
 }
 

@@ -84,8 +84,8 @@ const char *arrivalKindName(ArrivalKind kind);
 
 /**
  * Deterministic arrival schedule: interarrivalS(i) is the gap between
- * frame i-1 and frame i, derived for Poisson arrivals from a
- * counter-based stream keyed by the frame index.
+ * frame i-1 and frame i, derived for Poisson arrivals from the keyed
+ * uniform streamUniform(seed, 0, i).
  */
 struct ArrivalSchedule {
     ArrivalKind kind = ArrivalKind::Unpaced;
@@ -98,10 +98,11 @@ struct ArrivalSchedule {
     /** Unpaced (as-fast-as-possible) schedule. */
     static ArrivalSchedule unpaced();
 
-    /** Fixed-rate schedule at @p rate_hz frames per second. */
+    /** Fixed-rate schedule at @p rate_hz frames per second (finite,
+     * positive). */
     static ArrivalSchedule fixed(double rate_hz);
 
-    /** Poisson schedule with mean rate @p rate_hz. */
+    /** Poisson schedule with mean rate @p rate_hz (finite, positive). */
     static ArrivalSchedule poisson(double rate_hz,
                                    std::uint64_t seed = 0xa221);
 };

@@ -158,6 +158,55 @@ TEST(RngTest, StreamRngIsSeededByStreamKey)
     EXPECT_NE(streamKey(3, 5, 7), streamKey(3, 6, 7));
 }
 
+TEST(RngTest, StreamUniformStaysInsideTheUnitIntervalWithUniformMoments)
+{
+    // Mean 1/2 and variance 1/12; each tolerance is about four
+    // standard errors at this sample count.
+    constexpr std::uint64_t kDraws = 200000;
+    RunningStat stat;
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+        const double u = streamUniform(0x5eed, 3, i);
+        ASSERT_GT(u, 0.0) << i;
+        ASSERT_LT(u, 1.0) << i;
+        stat.add(u);
+    }
+    EXPECT_NEAR(stat.mean(), 0.5, 0.003);
+    EXPECT_NEAR(stat.variance(), 1.0 / 12.0, 0.0007);
+}
+
+TEST(RngTest, StreamDrawsArePinned)
+{
+    // The fleet's per-request draws (arrival gaps, service jitter,
+    // failure, backoff and proxy noise) are these two functions: a
+    // change to either moves every fleet result. Both Gaussians lie
+    // in AS241's central range, which is all explicit fmas, so the
+    // values are exact on any conforming platform.
+    EXPECT_EQ(streamGaussian(1, 2, 3), -0x1.64d459fe78699p-5);
+    EXPECT_EQ(streamUniform(1, 2, 3), 0x1.ee3619a1b8312p-2);
+    EXPECT_EQ(streamGaussian(0xf1ee7, 0x09057, 41), 0x1.19e4275141dd3p+0);
+    EXPECT_EQ(streamUniform(0xf1ee7, 0x09057, 41), 0x1.baaa70e92d40bp-1);
+}
+
+TEST(RngTest, StreamDrawsUnderDistinctPassesAreUncorrelated)
+{
+    // The fleet keys each decision kind by its own pass over the same
+    // (seed, item) pairs. Each sum is of unit-variance products, so
+    // its mean has standard error 1/sqrt(n) = 0.0032.
+    constexpr std::uint64_t kDraws = 100000;
+    const double unit = std::sqrt(12.0);
+    double gg = 0.0, uu = 0.0, gu = 0.0;
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+        const double g = streamGaussian(0x9e37, 1, i);
+        gg += g * streamGaussian(0x9e37, 2, i);
+        uu += unit * (streamUniform(0x9e37, 1, i) - 0.5) * unit *
+              (streamUniform(0x9e37, 3, i) - 0.5);
+        gu += g * unit * (streamUniform(0x9e37, 4, i) - 0.5);
+    }
+    EXPECT_NEAR(gg / kDraws, 0.0, 0.015);
+    EXPECT_NEAR(uu / kDraws, 0.0, 0.015);
+    EXPECT_NEAR(gu / kDraws, 0.0, 0.015);
+}
+
 TEST(RngTest, InverseNormalCdfHitsKnownQuantiles)
 {
     EXPECT_NEAR(inverseNormalCdf(0.975), 1.959963984540054, 1e-12);
@@ -210,10 +259,15 @@ TEST(RngTest, KeyedGaussianIsTheMapOfItsEvenHash)
 {
     // The comparator reads a tie's uniform and coin from
     // keyedBits(key, 2j) because keyedGaussian(key, j) is built from
-    // that hash and no other.
+    // that hash and no other; keyedUniform(key, j) is the uniform it
+    // maps.
     for (std::uint64_t c = 0; c < 1000; ++c) {
         EXPECT_EQ(keyedGaussian(0xabc, c),
                   gaussianFromBits(keyedBits(0xabc, 2 * c)));
+        EXPECT_EQ(keyedUniform(0xabc, c),
+                  openUnitFromBits(keyedBits(0xabc, 2 * c)));
+        EXPECT_EQ(keyedGaussian(0xabc, c),
+                  inverseNormalCdf(keyedUniform(0xabc, c)));
     }
 }
 

@@ -1,6 +1,7 @@
 /** @file Tests for the multi-tenant fleet serving engine. */
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +211,66 @@ TEST(FleetEngineTest, RejectsChaosWithoutFaultTolerance)
     cfg.chaos.push_back(kill);
     EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
                 "chaos needs ft\\.enabled");
+}
+
+TEST(FleetEngineTest, RejectsNonFiniteSessionRate)
+{
+    // NaN passes a `rate <= 0` test, and a NaN rate would feed NaN
+    // event times to the heap.
+    for (double rate : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), 0.0}) {
+        FleetConfig cfg = smallFleet();
+        cfg.sessionRateHz = rate;
+        EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                    "session rate must be finite and positive")
+            << rate;
+    }
+}
+
+TEST(FleetEngineTest, RejectsInvalidQosShares)
+{
+    // The queues convert each share to a slot count: a negative or
+    // NaN share has no count, and a share above 1 or a floor above
+    // its cap has no meaning.
+    FleetConfig negative = smallFleet();
+    negative.qos[0].reservedShare = -0.5;
+    EXPECT_EXIT(FleetEngine{negative}, ::testing::ExitedWithCode(1),
+                "qos\\[0\\]\\.reservedShare must be in \\[0, 1\\]");
+
+    FleetConfig nan_cap = smallFleet();
+    nan_cap.qos[1].maxShare = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(FleetEngine{nan_cap}, ::testing::ExitedWithCode(1),
+                "qos\\[1\\]\\.maxShare must be in \\[0, 1\\]");
+
+    FleetConfig above_one = smallFleet();
+    above_one.qos[2].maxShare = 1.5;
+    EXPECT_EXIT(FleetEngine{above_one}, ::testing::ExitedWithCode(1),
+                "qos\\[2\\]\\.maxShare must be in \\[0, 1\\]");
+
+    FleetConfig inverted = smallFleet();
+    inverted.qos[0].reservedShare = 0.5;
+    inverted.qos[0].maxShare = 0.25;
+    EXPECT_EXIT(FleetEngine{inverted}, ::testing::ExitedWithCode(1),
+                "qos\\[0\\]\\.reservedShare \\(0\\.5\\) must not exceed "
+                "maxShare");
+}
+
+TEST(FleetEngineTest, RejectsNegativeOrNonFiniteMix)
+{
+    // A negative entry would make the cumulative class draw
+    // non-monotone; the remainder rule needs finite fractions.
+    FleetConfig negative = smallFleet();
+    negative.mix = {-1.0, 0.5, 0.5};
+    EXPECT_EXIT(FleetEngine{negative}, ::testing::ExitedWithCode(1),
+                "mix\\[0\\] must be finite and non-negative");
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        FleetConfig cfg = smallFleet();
+        cfg.mix[2] = bad;
+        EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                    "mix\\[2\\] must be finite and non-negative")
+            << bad;
+    }
 }
 
 TEST(FleetEngineTest, ContentPredictionsMatchAtAnyThreadCount)

@@ -1,7 +1,10 @@
 /** @file Tests for frame sources and arrival schedules. */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,9 +121,11 @@ TEST(ArrivalScheduleTest, PoissonGapsAreExponential)
     const double rate = 50.0;
     const auto s = ArrivalSchedule::poisson(rate);
     const std::uint64_t n = 20000;
+    std::vector<double> gaps(n);
     double sum = 0.0, sum_sq = 0.0;
     for (std::uint64_t i = 0; i < n; ++i) {
         const double gap = s.interarrivalS(i);
+        gaps[i] = gap;
         sum += gap;
         sum_sq += gap * gap;
     }
@@ -129,6 +134,20 @@ TEST(ArrivalScheduleTest, PoissonGapsAreExponential)
         sum_sq / static_cast<double>(n) - mean * mean;
     const double cv = std::sqrt(var) / mean;
     EXPECT_NEAR(cv, 1.0, 0.05);
+
+    // The quantiles pin the shape, not only its first two moments:
+    // the p-quantile of Exp(rate) is -ln(1 - p) / rate, and a sample
+    // quantile's standard error is sqrt(p (1 - p) / n) / f(x_p), with
+    // density f(x_p) = rate (1 - p). Allow four standard errors.
+    std::sort(gaps.begin(), gaps.end());
+    const auto within = [&](double p) {
+        const double se = std::sqrt(p * (1.0 - p) / static_cast<double>(n)) /
+                          (rate * (1.0 - p));
+        const double got = gaps[static_cast<std::size_t>(p * n)];
+        EXPECT_NEAR(got, -std::log1p(-p) / rate, 4.0 * se) << "p = " << p;
+    };
+    within(0.5); // median ln 2 / rate
+    within(0.9); // 90th percentile ln 10 / rate
 }
 
 TEST(ArrivalScheduleTest, PoissonSameSeedSameRealization)
@@ -139,6 +158,25 @@ TEST(ArrivalScheduleTest, PoissonSameSeedSameRealization)
     const auto b = ArrivalSchedule::poisson(50.0, 0xabc);
     for (std::uint64_t i = 0; i < 1000; ++i)
         ASSERT_DOUBLE_EQ(a.interarrivalS(i), b.interarrivalS(i));
+}
+
+TEST(ArrivalScheduleTest, RejectsNonFiniteAndNonPositiveRates)
+{
+    // NaN passes a `rate <= 0` test: a NaN Poisson rate would give
+    // NaN gaps, and an infinite fixed rate an unpaced stream.
+    for (double rate : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(), 0.0,
+                        -1.0}) {
+        EXPECT_EXIT((void)ArrivalSchedule::fixed(rate),
+                    ::testing::ExitedWithCode(1),
+                    "fixed arrival rate must be finite and positive")
+            << rate;
+        EXPECT_EXIT((void)ArrivalSchedule::poisson(rate),
+                    ::testing::ExitedWithCode(1),
+                    "Poisson arrival rate must be finite and positive")
+            << rate;
+    }
 }
 
 TEST(ArrivalKindNameTest, Names)
