@@ -8,10 +8,12 @@
  * the padded input. A geometry in which some window holds no input
  * pixel is rejected.
  *
- * Max pooling runs as a row kernel: each window tap is folded across
- * the run of outputs of one row that it reaches. Average pooling folds
- * each output's window across a chunk of planes (DESIGN.md §9,
- * "Pooling").
+ * Max pooling is a separable fold: each input row is folded across
+ * the window's columns once, a lane vector of outputs at a time, and
+ * each output row then folds its window's candidate rows. Rows go
+ * before columns, so every output is the first tap in (kh, kw) order
+ * that holds the window's maximum. Average pooling folds each output's
+ * window across a chunk of planes (DESIGN.md §9, "Pooling").
  */
 
 #ifndef REDEYE_NN_POOL_HH

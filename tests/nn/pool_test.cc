@@ -360,6 +360,58 @@ TEST(PoolSweepTest, RowKernelsMatchThePerWindowLoopBitForBit)
     EXPECT_EQ(geometries, 6352u);
 }
 
+TEST(PoolSweepTest, WideRowsMatchThePerWindowLoopBitForBit)
+{
+    // Rows of several lane vectors of outputs, and one of more than
+    // 128, each against the oracle on the same special values.
+    struct Case {
+        std::size_t kernel;
+        std::size_t stride;
+        std::size_t pad;
+        std::size_t w;
+    };
+    std::vector<Case> cases;
+    for (std::size_t s = 1; s <= 2; ++s)
+        for (std::size_t pad = 0; pad <= 1; ++pad)
+            for (std::size_t w = 14; w <= 40; ++w)
+                cases.push_back({3, s, pad, w});
+    for (const std::size_t w : {9u, 17u, 33u, 40u})
+        cases.push_back({1, 1, 0, w});
+    for (const std::size_t w : {21u, 30u, 39u}) {
+        cases.push_back({5, 2, 2, w});
+        cases.push_back({5, 3, 1, w});
+    }
+    cases.push_back({3, 1, 1, 140}); // 140 outputs a row
+    cases.push_back({3, 2, 0, 261}); // 130 outputs a row
+
+    Rng rng(23);
+    std::size_t geometries = 0;
+    for (const Case &c : cases) {
+        for (const std::size_t h : {3u, 8u}) {
+            const PoolParams p{c.kernel, c.stride, c.pad};
+            const Shape is(1, 2, h, c.w);
+            ASSERT_FALSE(hasEmptyWindow(p, is));
+            const Tensor x = specialValues(is, rng);
+            Tensor gy(Shape(1, 2, p.outExtent(h), p.outExtent(c.w)));
+            for (std::size_t i = 0; i < gy.size(); ++i)
+                gy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+            const PoolOracle ref = referencePool(p, x, gy);
+
+            MaxPoolLayer maxp("m", p);
+            Tensor y;
+            maxp.forward({&x}, y);
+            std::vector<Tensor> g{Tensor(is)};
+            maxp.backward({&x}, y, gy, g);
+            ASSERT_TRUE(sameBits(y, ref.maxOut) &&
+                        sameBits(g[0], ref.maxGrad))
+                << "kernel " << c.kernel << " stride " << c.stride
+                << " pad " << c.pad << " on " << is.str();
+            ++geometries;
+        }
+    }
+    EXPECT_EQ(geometries, 240u);
+}
+
 TEST(PoolSweepTest, EveryGeometryWithAnEmptyWindowIsFatal)
 {
     std::size_t rejected = 0;

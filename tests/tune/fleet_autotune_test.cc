@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -185,6 +186,14 @@ TEST(FleetAutoTuneTest, RejectsEnabledTunerWithoutStepPeriod)
     EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
                 "tune.windowS");
     cfg.tune.windowS = -0.5;
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "tune.windowS");
+    // A NaN period puts TuneStep events at NaN times into the event
+    // heap; an infinite one schedules its first step at t = inf.
+    cfg.tune.windowS = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
+                "tune.windowS");
+    cfg.tune.windowS = std::numeric_limits<double>::infinity();
     EXPECT_EXIT(FleetEngine{cfg}, ::testing::ExitedWithCode(1),
                 "tune.windowS");
 }
